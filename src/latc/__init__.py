@@ -14,7 +14,6 @@ from .autoreg import (
     build_lag_structure,
     solve_z_matrix,
     solve_z_series,
-    solve_z_vectorized,
     temporal_variation,
     update_coefficients,
 )
@@ -40,9 +39,7 @@ from .solver import (
     impute,
     impute_lamc,
     lrtc_tnn_mode,
-    update_dual,
     update_x,
-    update_z,
 )
 from .tensors import (
     detensorize,
@@ -62,7 +59,6 @@ __all__ = [
     "build_lag_structure",
     "solve_z_matrix",
     "solve_z_series",
-    "solve_z_vectorized",
     "temporal_variation",
     "update_coefficients",
     "DataError",
@@ -88,9 +84,7 @@ __all__ = [
     "impute",
     "impute_lamc",
     "lrtc_tnn_mode",
-    "update_dual",
     "update_x",
-    "update_z",
     "detensorize",
     "fold",
     "frobenius_norm",

@@ -1,4 +1,4 @@
-"""Autoregressive regularization: lag selectors, penalty, closed-form solves.
+"""Autoregressive regularization: lag structure, penalty, closed-form solves.
 
 Each sensor series ``z`` of length ``T`` is scored by the squared
 residual of an AR model over the lag set ``H = (h_1 < ... < h_d)``:
@@ -10,9 +10,7 @@ matrix ``B`` turns the regularized subproblem
 
 into the SPD linear system ``(B.T @ B + alpha * I) z = alpha * x``.
 ``B.T @ B`` has bandwidth ``h_d``, so the system is assembled directly
-in banded storage and solved with a banded Cholesky factorization; the
-selector matrices themselves are only materialized densely for
-small-scale verification.
+in banded storage and solved with a banded Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -43,29 +41,6 @@ class LagStructure:
     def n_residuals(self) -> int:
         """Number of time steps the AR residual is defined on."""
         return self.length - self.max_lag
-
-    def selector_offset(self, i: int) -> int:
-        """Column where the identity block of ``selector(i)`` starts.
-
-        ``i = 0`` is the current-value selector (picks ``z[max_lag:]``);
-        ``i = 1..order`` picks the values lagged by ``lags[i-1]``.
-        """
-        if not 0 <= i <= self.order:
-            raise ValueError(f"selector index must be in [0, {self.order}], got {i}")
-        if i == 0:
-            return self.max_lag
-        return self.max_lag - self.lags[i - 1]
-
-    def selector(self, i: int) -> np.ndarray:
-        """Dense ``(n_residuals, length)`` selector matrix (testing aid)."""
-        n = self.n_residuals
-        out = np.zeros((n, self.length))
-        out[np.arange(n), np.arange(n) + self.selector_offset(i)] = 1.0
-        return out
-
-    def lag_stack(self) -> np.ndarray:
-        """Horizontal stack ``[selector(1) | ... | selector(order)]``."""
-        return np.hstack([self.selector(i) for i in range(1, self.order + 1)])
 
 
 def build_lag_structure(lags, length: int) -> LagStructure:
@@ -173,37 +148,6 @@ def solve_z_matrix(
     for m in range(X.shape[0]):
         Z[m] = solve_z_series(X[m], A[m], lag, alpha)
     return Z
-
-
-def solve_z_vectorized(
-    X: np.ndarray,
-    A: np.ndarray,
-    lag: LagStructure,
-    alpha: float,
-    max_size: int = 2000,
-) -> np.ndarray:
-    """Joint dense solve over all series at once (verification oracle).
-
-    Builds the full ``(M*T, M*T)`` system from Kronecker and
-    column-wise Kronecker products of the dense selectors and solves it
-    directly.  Only intended for cross-checking :func:`solve_z_matrix`
-    on small problems; refuses instances with ``M * T > max_size``.
-    """
-    X, A = _check_series_matrix(np.asarray(X, dtype=float), A, lag)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    M, T = X.shape
-    if M * T > max_size:
-        raise ValueError(f"joint system size {M * T} exceeds limit {max_size}")
-    eye_m = np.eye(M)
-    B = np.kron(eye_m, lag.selector(0))
-    C = np.kron(eye_m, lag.lag_stack()) @ np.kron(
-        sla.khatri_rao(eye_m, A.T), np.eye(T)
-    )
-    D = B - C
-    rhs = alpha * X.reshape(-1)  # row-stacked series
-    z = np.linalg.solve(D.T @ D + alpha * np.eye(M * T), rhs)
-    return z.reshape(M, T)
 
 
 def update_coefficients(

@@ -91,7 +91,9 @@ def tensor_tnn(
 ) -> float:
     """Weighted sum of truncated nuclear norms over the three unfoldings.
 
-    ``weights`` must be non-negative and sum to one.
+    ``weights`` must be non-negative and sum to one.  Modes with zero
+    weight are skipped, so ``r`` must only be smaller than both sides of
+    every unfolding with nonzero weight.
     """
     t = np.asarray(tensor, dtype=float)
     if t.ndim != 3:
@@ -99,7 +101,10 @@ def tensor_tnn(
     w = np.asarray(weights, dtype=float)
     if w.shape != (3,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights must be 3 non-negative values summing to 1, got {weights}")
-    _check_truncation(r, min(t.shape), max(t.shape))
     return float(
-        sum(w[p - 1] * truncated_nuclear_norm(unfold(t, p), r) for p in (1, 2, 3))
+        sum(
+            w[p - 1] * truncated_nuclear_norm(unfold(t, p), r)
+            for p in (1, 2, 3)
+            if w[p - 1] > 0
+        )
     )

@@ -12,28 +12,32 @@ iterations.  ``lam`` is tied to the ADMM penalty as ``lam = c * rho``,
 so the ratio ``rho / lam = 1 / c`` entering the Z step stays constant
 while ``rho`` grows geometrically.
 
-Setting ``c = 0`` removes the AR term entirely; the solver then runs
-plain truncated-nuclear-norm completion (see :func:`lrtc_tnn_mode`).
-:func:`impute_lamc` is the matrix variant that thresholds the ``(M, T)``
-matrix itself instead of the three tensor unfoldings.
+All three iterates are ``(M, T)`` matrices.  The mode-1 unfolding of
+``tensorize(Z)`` is ``Z`` itself and the other two unfoldings are taken
+from a copy-free tensor view, so the loop never converts between the
+two layouts.
+
+Both baselines are parameter settings of the same loop: ``c = 0``
+removes the AR term and runs plain truncated-nuclear-norm completion
+(:func:`lrtc_tnn_mode`), and ``weights = (1, 0, 0)`` thresholds only
+the ``(M, T)`` matrix, which is the matrix model (:func:`impute_lamc`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .autoreg import (
-    LagStructure,
     build_lag_structure,
     solve_z_matrix,
     temporal_variation,
     update_coefficients,
 )
-from .lowrank import svt, tensor_tnn, truncated_nuclear_norm
-from .tensors import detensorize, fold, frobenius_norm, project, tensorize, unfold
+from .lowrank import svt, tensor_tnn
+from .tensors import fold, frobenius_norm, project, unfold
 
 DEFAULT_LAGS = (1, 2, 3, 4, 5, 6)
 RHO_GROWTH = 1.05
@@ -95,7 +99,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
-    """Snapshot handed to the optional per-inner-step callback."""
+    """Snapshot handed to the optional per-inner-step callback.
+
+    ``x``, ``z`` and ``dual`` are ``(M, T)`` matrices.
+    """
 
     x: np.ndarray
     z: np.ndarray
@@ -130,57 +137,36 @@ class ImputationResult:
 Callback = Callable[[SolverState], None]
 
 
-def update_x(
-    Z: np.ndarray, dual: np.ndarray, cfg: SolverConfig, rho: float
-) -> np.ndarray:
+def _tensor_view(matrix: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """``tensorize(matrix)`` without a copy for a C-contiguous ``(M, T)`` matrix."""
+    m, i, j = dims
+    return matrix.reshape(m, j, i).transpose(0, 2, 1)
+
+
+def update_x(W: np.ndarray, cfg: SolverConfig, rho: float) -> np.ndarray:
     """Weighted thresholding step over the three unfoldings.
 
+    ``W = Z - dual / rho`` is an ``(M, T)`` matrix and so is the result.
     Each mode ``p`` applies :func:`svt` with threshold ``weights[p]/rho``
-    to the unfolding of ``tensorize(Z) - dual / rho`` and the folded
-    results are combined with the same weights.  Modes with zero weight
-    are skipped.
+    to the mode-``p`` unfolding of ``tensorize(W)`` and the folded
+    results are combined with the same weights.  The mode-1 unfolding
+    is ``W`` itself.  Modes with zero weight are skipped, so ``r`` is
+    only bounded by the unfoldings that are thresholded.
     """
-    m, i, j = cfg.dims
-    w = tensorize(Z, i, j) - dual / rho
-    out = np.zeros_like(w)
+    W = np.asarray(W, dtype=float)
+    out = np.zeros(W.shape)
+    w_tensor, out_tensor = _tensor_view(W, cfg.dims), _tensor_view(out, cfg.dims)
     for mode, weight in zip((1, 2, 3), cfg.weights):
         if weight == 0.0:
             continue
-        out += weight * fold(svt(unfold(w, mode), cfg.r, weight / rho), mode, (m, i, j))
+        if mode == 1:
+            out += weight * svt(W, cfg.r, weight / rho)
+        else:
+            # Unnamed, so the result is freed before the next mode's SVD.
+            out_tensor += weight * fold(
+                svt(unfold(w_tensor, mode), cfg.r, weight / rho), mode, cfg.dims
+            )
     return out
-
-
-def update_z(
-    X: np.ndarray,
-    dual: np.ndarray,
-    coefficients: np.ndarray,
-    lag: LagStructure,
-    rho: float,
-    lam: float,
-    observed: np.ndarray,
-    mask: np.ndarray,
-) -> np.ndarray:
-    """AR-regularized Z step followed by the observation overwrite.
-
-    Solves the per-series banded system against the target
-    ``detensorize(X + dual / rho)`` with ``alpha = rho / lam`` and then
-    copies the observed entries of ``observed`` back in place.
-    """
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    target = detensorize(X + dual / rho)
-    raw = solve_z_matrix(target, coefficients, lag, rho / lam)
-    return np.where(np.asarray(mask, dtype=bool), observed, raw)
-
-
-def update_dual(
-    dual: np.ndarray, X: np.ndarray, Z: np.ndarray, rho: float
-) -> np.ndarray:
-    """Gradient ascent step ``dual + rho * (X - tensorize(Z))``."""
-    x = np.asarray(X, dtype=float)
-    if x.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got shape {x.shape}")
-    return np.asarray(dual, dtype=float) + rho * (x - tensorize(Z, x.shape[1], x.shape[2]))
 
 
 def _check_inputs(Y: np.ndarray, mask: np.ndarray, cfg: SolverConfig):
@@ -199,27 +185,29 @@ def _check_inputs(Y: np.ndarray, mask: np.ndarray, cfg: SolverConfig):
     return Y, mask
 
 
-def _admm(
+def impute(
     Y: np.ndarray,
     mask: np.ndarray,
     cfg: SolverConfig,
-    tensor_form: bool,
-    use_ar: bool,
-    callback: Callback | None,
+    callback: Callback | None = None,
 ) -> ImputationResult:
-    """Shared inner/outer loop for the tensor and matrix variants.
+    """Complete the missing entries of ``Y`` with the ADMM loop.
 
-    With ``use_ar`` false the Z step degenerates to the thresholded
-    target itself (the ``lam -> 0`` limit), the coefficient refit is
+    ``mask`` is true on observed cells.  Observed entries of the result
+    equal ``Y`` exactly; unobserved cells come from the converged
+    low-rank iterate.  ``r`` must be smaller than both sides of every
+    unfolding with nonzero weight; the first X step raises
+    ``ValueError`` otherwise.  With ``cfg.c == 0`` the AR half is
     skipped and neither ``cfg.lags`` nor ``cfg.seed`` influences the
     result.
     """
+    Y, mask = _check_inputs(Y, mask, cfg)
     m_dim, i_dim, j_dim = cfg.dims
-    t_dim = i_dim * j_dim
     rho_max = cfg.resolved_rho_max()
+    use_ar = cfg.c > 0
 
     if use_ar:
-        lag = build_lag_structure(cfg.lags, t_dim)
+        lag = build_lag_structure(cfg.lags, i_dim * j_dim)
         rng = np.random.default_rng(cfg.seed)
         coeffs = rng.random((m_dim, lag.order)) * COEFF_INIT_SCALE
     else:
@@ -227,96 +215,57 @@ def _admm(
         coeffs = np.zeros((m_dim, len(cfg.lags)))
 
     y_obs = project(Y, mask)
-    obs_norm = frobenius_norm(y_obs)
+    # With no nonzero observation the change is measured in absolute terms.
+    change_scale = frobenius_norm(y_obs) or 1.0
     Z = y_obs.copy()
-    if tensor_form:
-        dual = np.zeros((m_dim, i_dim, j_dim))
-    else:
-        dual = np.zeros((m_dim, t_dim))
+    dual = np.zeros_like(Z)
 
     rho = cfg.rho0
-    prev_estimate = y_obs
+    prev_x = y_obs
     history: list[IterationRecord] = []
     converged = False
-    outer = 0
-    estimate = y_obs
 
     for outer in range(1, cfg.max_outer_iters + 1):
         residuals = np.empty(cfg.inner_iters)
         for inner in range(cfg.inner_iters):
             rho = min(RHO_GROWTH * rho, rho_max)
             lam = cfg.c * rho
-            if tensor_form:
-                x_iter = update_x(Z, dual, cfg, rho)
-                target = detensorize(x_iter + dual / rho)
-            else:
-                x_iter = svt(Z - dual / rho, cfg.r, 1.0 / rho)
-                target = x_iter + dual / rho
-            if use_ar:
-                z_raw = solve_z_matrix(target, coeffs, lag, rho / lam)
-            else:
-                z_raw = target
-            gap = x_iter - (tensorize(z_raw, i_dim, j_dim) if tensor_form else z_raw)
+            x = update_x(Z - dual / rho, cfg, rho)
+            target = x + dual / rho
+            z_raw = solve_z_matrix(target, coeffs, lag, rho / lam) if use_ar else target
+            gap = x - z_raw
             dual = dual + rho * gap
             residuals[inner] = frobenius_norm(gap)
             Z = np.where(mask, Y, z_raw)
             if callback is not None:
-                callback(SolverState(x_iter, Z, coeffs, dual, outer, inner, rho))
+                callback(SolverState(x, Z, coeffs, dual, outer, inner, rho))
 
         if use_ar:
             coeffs = update_coefficients(Z, lag)
 
-        estimate = detensorize(x_iter) if tensor_form else x_iter
-        change = frobenius_norm(estimate - prev_estimate) / obs_norm
-        if tensor_form:
-            low_rank = tensor_tnn(x_iter, cfg.r, cfg.weights)
-        else:
-            low_rank = truncated_nuclear_norm(x_iter, cfg.r)
-        ar_term = 0.5 * lam * temporal_variation(Z, coeffs, lag) if use_ar else 0.0
+        change = frobenius_norm(x - prev_x) / change_scale
         history.append(
             IterationRecord(
                 outer=outer,
                 change=change,
                 primal_residual=float(residuals.mean()),
                 rho=rho,
-                low_rank_term=low_rank,
-                ar_term=ar_term,
+                low_rank_term=tensor_tnn(_tensor_view(x, cfg.dims), cfg.r, cfg.weights),
+                ar_term=0.5 * lam * temporal_variation(Z, coeffs, lag) if use_ar else 0.0,
             )
         )
-        prev_estimate = estimate
+        prev_x = x
         if change < cfg.tol:
             converged = True
             break
 
-    recovered = np.where(mask, Y, estimate)
     return ImputationResult(
-        recovered=recovered,
+        recovered=np.where(mask, Y, x),
         coefficients=coeffs,
         iterations=outer,
         converged=converged,
         history=history,
     )
-
-
-def impute(
-    Y: np.ndarray,
-    mask: np.ndarray,
-    cfg: SolverConfig,
-    callback: Callback | None = None,
-) -> ImputationResult:
-    """Tensor-form completion of the missing entries of ``Y``.
-
-    ``mask`` is true on observed cells.  Observed entries of the result
-    equal ``Y`` exactly; unobserved cells come from the converged
-    low-rank tensor iterate.  With ``cfg.c == 0`` the run is identical
-    to :func:`lrtc_tnn_mode`.
-    """
-    Y, mask = _check_inputs(Y, mask, cfg)
-    m, i, j = cfg.dims
-    if cfg.r >= min(m, i, j):
-        raise ValueError(f"r={cfg.r} must be smaller than min(dims)={min(m, i, j)}")
-    use_ar = cfg.c > 0
-    return _admm(Y, mask, cfg, tensor_form=True, use_ar=use_ar, callback=callback)
 
 
 def impute_lamc(
@@ -325,19 +274,14 @@ def impute_lamc(
     cfg: SolverConfig,
     callback: Callback | None = None,
 ) -> ImputationResult:
-    """Matrix-form variant: one thresholding step on the ``(M, T)`` matrix.
+    """Matrix model: :func:`impute` thresholding only the ``(M, T)`` matrix.
 
-    The low-rank half applies :func:`svt` with threshold ``1 / rho`` to
-    the matrix iterate itself; the AR half and the schedule are shared
-    with :func:`impute`.  With ``M = 1``, ``impute`` on a ``(1, T, 1)``
-    layout and weights ``(1, 0, 0)`` performs the same arithmetic.
+    Runs with ``weights = (1, 0, 0)``, whose only thresholded unfolding
+    is the data matrix, so ``r`` must be smaller than ``min(M, T)``.
+    ``cfg.weights`` is ignored; the AR half and the schedule are those
+    of :func:`impute`.
     """
-    Y, mask = _check_inputs(Y, mask, cfg)
-    m, i, j = cfg.dims
-    if cfg.r >= min(m, i * j):
-        raise ValueError(f"r={cfg.r} must be smaller than min(M, T)={min(m, i * j)}")
-    use_ar = cfg.c > 0
-    return _admm(Y, mask, cfg, tensor_form=False, use_ar=use_ar, callback=callback)
+    return impute(Y, mask, replace(cfg, weights=(1.0, 0.0, 0.0)), callback)
 
 
 def lrtc_tnn_mode(
@@ -346,13 +290,9 @@ def lrtc_tnn_mode(
     cfg: SolverConfig,
     callback: Callback | None = None,
 ) -> ImputationResult:
-    """Pure truncated-nuclear-norm tensor completion (no AR term).
+    """Pure truncated-nuclear-norm tensor completion: :func:`impute` with ``c = 0``.
 
-    Ignores ``cfg.c``; ``cfg.lags`` and ``cfg.seed`` do not affect the
-    output because the AR machinery is never touched.
+    ``cfg.c`` is ignored; ``cfg.lags`` and ``cfg.seed`` do not affect
+    the output because the AR machinery is never touched.
     """
-    Y, mask = _check_inputs(Y, mask, cfg)
-    m, i, j = cfg.dims
-    if cfg.r >= min(m, i, j):
-        raise ValueError(f"r={cfg.r} must be smaller than min(dims)={min(m, i, j)}")
-    return _admm(Y, mask, cfg, tensor_form=True, use_ar=False, callback=callback)
+    return impute(Y, mask, replace(cfg, c=0.0), callback)

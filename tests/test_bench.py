@@ -460,12 +460,19 @@ class TestRunExperiment:
 
 
 class TestRunSweep:
-    def test_grid_runs_every_cell(self, tmp_path):
+    def test_grid_runs_every_cell(self, tmp_path, monkeypatch):
+        import latc.bench as bench
+
         path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
         out = tmp_path / "grid"
         cfg = experiment_cfg((8, 12, 4))
         spec = MaskSpec("rm", rate=0.3, seed=0)
+        loads = []
+        monkeypatch.setattr(
+            bench, "load_matrix", lambda p: loads.append(p) or load_matrix(p)
+        )
         records = run_sweep(path, spec, cfg, "latc", [0.05, 0.5], [1, 2], out)
+        assert len(loads) == 1
         assert [(c, r) for c, r, _ in records] == [
             (0.05, 1),
             (0.05, 2),
@@ -605,6 +612,18 @@ class TestCli:
         monkeypatch.setattr(bench, "run_experiment", boom)
         assert main(self.impute_args(path)) == 3
         assert "solver failure" in capsys.readouterr().err
+
+    def test_all_zero_data_runs(self, tmp_path, capsys):
+        path = tmp_path / "zeros.csv"
+        save_matrix(path, np.zeros((6, 48)))
+        assert main(["impute", "--data", str(path), "--I", "12", "--r", "1"]) == 0
+        entries = dict(
+            line.partition(" = ")[::2]
+            for line in capsys.readouterr().out.splitlines()
+        )
+        assert float(entries["rmse"]) == 0.0
+        assert int(entries["n_eval"]) > 0
+        assert entries["excluded_zero"] == entries["n_eval"]
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

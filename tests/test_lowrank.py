@@ -207,3 +207,10 @@ class TestTensorTnn:
     def test_truncation_bound_uses_smallest_dim(self):
         with pytest.raises(ValueError):
             tensor_tnn(np.zeros((2, 5, 5)), 2, (1 / 3, 1 / 3, 1 / 3))
+
+    def test_zero_weight_modes_skipped(self):
+        # r = 2 is out of range for the (2, 24) mode-3 unfolding, which
+        # carries no weight; only the (4, 12) mode-1 unfolding counts.
+        t = np.random.default_rng(12).normal(size=(4, 6, 2))
+        expected = truncated_nuclear_norm(unfold(t, 1), 2)
+        assert tensor_tnn(t, 2, (1.0, 0.0, 0.0)) == expected

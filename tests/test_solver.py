@@ -1,8 +1,8 @@
 """Solver tests.
 
 Synthetic ground truths are built from outer products so the exact
-low-rank completion is known; the ADMM steps are cross-checked against
-hand-composed pipelines of the tensor / low-rank / AR primitives.
+low-rank completion is known; the X step is cross-checked against a
+hand-composed pipeline of the tensor and low-rank primitives.
 """
 
 import dataclasses
@@ -13,19 +13,15 @@ import pytest
 from latc import (
     ImputationResult,
     SolverConfig,
-    build_lag_structure,
     detensorize,
     fold,
     impute,
     impute_lamc,
     lrtc_tnn_mode,
-    solve_z_matrix,
     svt,
     tensorize,
     unfold,
-    update_dual,
     update_x,
-    update_z,
 )
 
 
@@ -62,107 +58,29 @@ class TestUpdateX:
         rng = np.random.default_rng(0)
         cfg = SolverConfig(dims=(3, 4, 5), r=2, weights=(0.2, 0.3, 0.5))
         z = rng.normal(size=(3, 20))
-        dual = rng.normal(size=(3, 4, 5))
+        dual = rng.normal(size=(3, 20))
         rho = 0.7
-        w = tensorize(z, 4, 5) - dual / rho
+        w = tensorize(z - dual / rho, 4, 5)
         expected = np.zeros((3, 4, 5))
         for mode, weight in zip((1, 2, 3), cfg.weights):
             expected += weight * fold(
                 svt(unfold(w, mode), cfg.r, weight / rho), mode, (3, 4, 5)
             )
-        assert np.allclose(update_x(z, dual, cfg, rho), expected, atol=1e-12)
+        out = update_x(z - dual / rho, cfg, rho)
+        assert np.allclose(out, detensorize(expected), atol=1e-12)
 
     def test_zero_inputs(self):
         cfg = SolverConfig(dims=(2, 3, 4), r=1)
-        out = update_x(np.zeros((2, 12)), np.zeros((2, 3, 4)), cfg, 1.0)
-        assert np.array_equal(out, np.zeros((2, 3, 4)))
+        out = update_x(np.zeros((2, 12)), cfg, 1.0)
+        assert np.array_equal(out, np.zeros((2, 12)))
 
     def test_low_rank_fixed_point_at_huge_rho(self):
         # Rank-1 slices: every unfolding has rank 1 <= r, and the
-        # shrinkage weight/rho vanishes, so the tensor passes through.
+        # shrinkage weight/rho vanishes, so the matrix passes through.
         y, _ = rank1_instance(m=4, i=5, j=6, seed=1)
         cfg = SolverConfig(dims=(4, 5, 6), r=1)
-        out = update_x(y, np.zeros((4, 5, 6)), cfg, 1e12)
-        assert np.allclose(out, tensorize(y, 5, 6), atol=1e-8)
-
-
-class TestUpdateZ:
-    def test_compositional_oracle(self):
-        rng = np.random.default_rng(2)
-        lag = build_lag_structure((1, 3), 12)
-        x = rng.normal(size=(2, 3, 4))
-        dual = rng.normal(size=(2, 3, 4))
-        coeffs = rng.normal(size=(2, 2)) * 0.1
-        y = rng.normal(size=(2, 12))
-        mask = rng.random((2, 12)) < 0.6
-        rho, lam = 0.9, 0.45
-        out = update_z(x, dual, coeffs, lag, rho, lam, y, mask)
-        raw = solve_z_matrix(detensorize(x + dual / rho), coeffs, lag, rho / lam)
-        assert np.array_equal(out, np.where(mask, y, raw))
-
-    def test_observed_entries_exact(self):
-        rng = np.random.default_rng(3)
-        lag = build_lag_structure((1,), 8)
-        x = rng.normal(size=(3, 4, 2))
-        dual = rng.normal(size=(3, 4, 2))
-        coeffs = rng.normal(size=(3, 1))
-        y = rng.normal(size=(3, 8))
-        mask = rng.random((3, 8)) < 0.5
-        out = update_z(x, dual, coeffs, lag, 1.0, 2.0, y, mask)
-        assert np.array_equal(out[mask], y[mask])
-
-    def test_limit_of_large_alpha(self):
-        # rho/lam huge: the solve returns (approximately) the target.
-        rng = np.random.default_rng(4)
-        lag = build_lag_structure((1,), 10)
-        x = rng.normal(size=(1, 5, 2))
-        dual = np.zeros((1, 5, 2))
-        y = np.zeros((1, 10))
-        mask = np.zeros((1, 10), dtype=bool)
-        mask[0, 0] = True  # keep one observed cell
-        out = update_z(x, dual, np.zeros((1, 1)), lag, 1.0, 1e-9, y, mask)
-        target = detensorize(x)
-        assert np.allclose(out[0, 1:], target[0, 1:], atol=1e-6)
-
-    def test_requires_positive_lam(self):
-        lag = build_lag_structure((1,), 4)
-        with pytest.raises(ValueError):
-            update_z(
-                np.zeros((1, 2, 2)),
-                np.zeros((1, 2, 2)),
-                np.zeros((1, 1)),
-                lag,
-                1.0,
-                0.0,
-                np.zeros((1, 4)),
-                np.ones((1, 4), dtype=bool),
-            )
-
-
-class TestUpdateDual:
-    def test_zero_residual_no_change(self):
-        rng = np.random.default_rng(5)
-        z = rng.normal(size=(2, 6))
-        dual = rng.normal(size=(2, 3, 2))
-        out = update_dual(dual, tensorize(z, 3, 2), z, 2.5)
-        assert np.allclose(out, dual, atol=1e-12)
-
-    def test_unit_step(self):
-        rng = np.random.default_rng(6)
-        z = rng.normal(size=(2, 6))
-        e = rng.normal(size=(2, 3, 2))
-        out = update_dual(np.zeros((2, 3, 2)), tensorize(z, 3, 2) + e, z, 1.0)
-        assert np.allclose(out, e, atol=1e-12)
-
-    def test_linearity_over_steps(self):
-        rng = np.random.default_rng(7)
-        z = rng.normal(size=(2, 6))
-        qz = tensorize(z, 3, 2)
-        e1 = rng.normal(size=(2, 3, 2))
-        e2 = rng.normal(size=(2, 3, 2))
-        rho = 0.8
-        stepwise = update_dual(update_dual(np.zeros_like(qz), qz + e1, z, rho), qz + e2, z, rho)
-        assert np.allclose(stepwise, rho * (e1 + e2), atol=1e-12)
+        out = update_x(y, cfg, 1e12)
+        assert np.allclose(out, y, atol=1e-8)
 
 
 class TestImpute:
@@ -273,6 +191,17 @@ class TestImpute:
         ):
             with pytest.raises(ValueError):
                 impute(y, mask, small_cfg((6, 5, 4), **bad))
+
+    @pytest.mark.parametrize("solve", [impute, impute_lamc, lrtc_tnn_mode])
+    def test_all_zero_observations(self, solve):
+        # No nonzero observation: the change is measured in absolute
+        # terms and the zero matrix is a fixed point of every step.
+        y = np.zeros((6, 20))
+        mask = np.random.default_rng(29).random(y.shape) < 0.7
+        result = solve(y, mask, small_cfg((6, 5, 4)))
+        assert np.array_equal(result.recovered, y)
+        assert result.converged
+        assert result.iterations == 1
 
     def test_non_finite_data_rejected(self):
         y, mask = rank1_instance(m=6, i=5, j=4, seed=19)

@@ -13,7 +13,6 @@ from .autoreg import (
     ar_residual,
     build_lag_structure,
     solve_z_matrix,
-    solve_z_series,
     temporal_variation,
     update_coefficients,
 )
@@ -30,7 +29,7 @@ from .bench import (
     save_mask,
     save_matrix,
 )
-from .lowrank import SvdResult, svd, svt, tensor_tnn, truncated_nuclear_norm
+from .lowrank import svt, tensor_tnn, truncated_nuclear_norm
 from .solver import (
     ImputationResult,
     IterationRecord,
@@ -46,7 +45,6 @@ from .tensors import (
     fold,
     frobenius_norm,
     project,
-    tensor_inner,
     tensorize,
     unfold,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "ar_residual",
     "build_lag_structure",
     "solve_z_matrix",
-    "solve_z_series",
     "temporal_variation",
     "update_coefficients",
     "DataError",
@@ -72,8 +69,6 @@ __all__ = [
     "run_sweep",
     "save_mask",
     "save_matrix",
-    "SvdResult",
-    "svd",
     "svt",
     "tensor_tnn",
     "truncated_nuclear_norm",
@@ -89,7 +84,6 @@ __all__ = [
     "fold",
     "frobenius_norm",
     "project",
-    "tensor_inner",
     "tensorize",
     "unfold",
 ]

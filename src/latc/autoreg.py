@@ -11,6 +11,8 @@ matrix ``B`` turns the regularized subproblem
 into the SPD linear system ``(B.T @ B + alpha * I) z = alpha * x``.
 ``B.T @ B`` has bandwidth ``h_d``, so the system is assembled directly
 in banded storage and solved with a banded Cholesky factorization.
+:func:`solve_z_matrix` solves it for every row of an ``(M, T)`` matrix
+of series, one ``(h_d + 1, T)`` band per row.
 """
 
 from __future__ import annotations
@@ -64,11 +66,13 @@ def build_lag_structure(lags, length: int) -> LagStructure:
     return LagStructure(lags=lags, length=length)
 
 
-def _check_series_matrix(Z: np.ndarray, A: np.ndarray, lag: LagStructure):
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if Z.shape[1] != lag.length:
-        raise ValueError(f"series length {Z.shape[1]} != lag structure length {lag.length}")
+def _check_series_matrix(Z: np.ndarray, lag: LagStructure, A: np.ndarray | None = None):
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != lag.length:
+        raise ValueError(f"series matrix shape {Z.shape} != (M, {lag.length})")
+    if A is None:
+        return Z
+    A = np.asarray(A, dtype=float)
     if A.shape != (Z.shape[0], lag.order):
         raise ValueError(
             f"coefficients shape {A.shape} does not match ({Z.shape[0]}, {lag.order})"
@@ -82,7 +86,7 @@ def ar_residual(Z: np.ndarray, A: np.ndarray, lag: LagStructure) -> np.ndarray:
     Row ``m`` holds the residuals of series ``m``; column ``u``
     corresponds to time step ``u + max_lag``.
     """
-    Z, A = _check_series_matrix(Z, A, lag)
+    Z, A = _check_series_matrix(Z, lag, A)
     T, h = lag.length, lag.max_lag
     resid = Z[:, h:].copy()
     for i, hi in enumerate(lag.lags):
@@ -114,39 +118,25 @@ def _gram_band(a: np.ndarray, lag: LagStructure) -> np.ndarray:
     return band
 
 
-def solve_z_series(
-    x: np.ndarray, a: np.ndarray, lag: LagStructure, alpha: float
-) -> np.ndarray:
-    """Solve ``(B.T @ B + alpha * I) z = alpha * x`` for one series.
-
-    ``alpha`` must be positive, which makes the banded system symmetric
-    positive definite; factorization failures surface as
-    ``scipy.linalg.LinAlgError``.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != lag.length:
-        raise ValueError(f"series shape {x.shape} != ({lag.length},)")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (lag.order,):
-        raise ValueError(f"coefficient shape {a.shape} != ({lag.order},)")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    band = _gram_band(a, lag)
-    band[0] += alpha
-    return sla.solveh_banded(band, alpha * x, lower=True)
-
-
 def solve_z_matrix(
     X: np.ndarray, A: np.ndarray, lag: LagStructure, alpha: float
 ) -> np.ndarray:
-    """Row-wise :func:`solve_z_series` for a stack of series."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {X.shape}")
-    X, A = _check_series_matrix(X, A, lag)
+    """Solve ``(B_m.T @ B_m + alpha * I) z_m = alpha * x_m`` for every row ``m``.
+
+    Row ``m`` of ``X`` is one series and row ``m`` of ``A`` its AR
+    coefficients; each row is solved on its own banded system.
+    ``alpha`` must be positive, which makes every system symmetric
+    positive definite; factorization failures surface as
+    ``scipy.linalg.LinAlgError``.
+    """
+    X, A = _check_series_matrix(X, lag, A)
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     Z = np.empty_like(X)
     for m in range(X.shape[0]):
-        Z[m] = solve_z_series(X[m], A[m], lag, alpha)
+        band = _gram_band(A[m], lag)
+        band[0] += alpha
+        Z[m] = sla.solveh_banded(band, alpha * X[m], lower=True)
     return Z
 
 
@@ -161,11 +151,7 @@ def update_coefficients(
     ``rcond`` times the largest treated as zero, so rank-deficient
     regressors (constant or all-zero series) are well-defined.
     """
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {Z.shape}")
-    if Z.shape[1] != lag.length:
-        raise ValueError(f"series length {Z.shape[1]} != lag structure length {lag.length}")
+    Z = _check_series_matrix(Z, lag)
     T, h = lag.length, lag.max_lag
     A = np.zeros((Z.shape[0], lag.order))
     for m in range(Z.shape[0]):

@@ -435,23 +435,35 @@ def run_sweep(
 ) -> list[tuple[float, int, EvalReport]]:
     """Grid of :func:`run_experiment` cells over ``c`` and ``r``.
 
-    The data file is read once, when the first cell is validated.  Each
-    cell writes its artifacts to its own subdirectory of ``out_dir`` and
-    one summary record per cell goes to ``grid.txt``.
+    The data file is read once, before the first cell.  Each cell
+    writes its artifacts to its own subdirectory of ``out_dir`` and one
+    summary record per cell goes to ``grid.txt``.
     """
     model = _normalize_model(model)
     spec.validate()
+    values, base_mask = load_matrix(data_path)
+    return _sweep_loaded(values, base_mask, spec, cfg, model, c_values, r_values, out_dir)
+
+
+def _sweep_loaded(
+    values: np.ndarray,
+    base_mask: np.ndarray,
+    spec: MaskSpec,
+    cfg: SolverConfig,
+    model: str,
+    c_values,
+    r_values,
+    out_dir,
+) -> list[tuple[float, int, EvalReport]]:
+    """:func:`run_sweep` after the data file has been read."""
     out_dir = Path(out_dir)
-    loaded = None
     records = []
     for c in c_values:
         for r in r_values:
             cell_cfg = replace(cfg, c=float(c), r=int(r))
             cell_cfg.validate()
-            if loaded is None:
-                loaded = load_matrix(data_path)
             cell_dir = out_dir / f"cell_c{c:g}_r{int(r)}"
-            report = _run_loaded(*loaded, spec, cell_cfg, model, cell_dir)
+            report = _run_loaded(values, base_mask, spec, cell_cfg, model, cell_dir)
             records.append((float(c), int(r), report))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_records(

@@ -113,8 +113,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_dims(args) -> tuple[int, int, int]:
-    values, _ = bench.load_matrix(args.data)
+def _resolve_dims(args, values: np.ndarray) -> tuple[int, int, int]:
     m, t = values.shape
     periods = args.periods
     if periods <= 0:
@@ -169,10 +168,10 @@ def _print_report(report: bench.EvalReport) -> None:
 
 
 def _cmd_impute(args) -> int:
-    dims = _resolve_dims(args)
-    cfg = _build_config(args, dims, args.c, args.r)
-    report = bench.run_experiment(
-        args.data, _mask_spec(args), cfg, model=args.model, out_dir=args.out
+    values, base_mask = bench.load_matrix(args.data)
+    cfg = _build_config(args, _resolve_dims(args, values), args.c, args.r)
+    report = bench._run_loaded(
+        values, base_mask, _mask_spec(args), cfg, args.model, args.out
     )
     _print_report(report)
     return EXIT_OK
@@ -181,12 +180,14 @@ def _cmd_impute(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.out is None:
         raise _UsageError("sweep requires --out for the grid artifacts")
-    dims = _resolve_dims(args)
+    values, base_mask = bench.load_matrix(args.data)
+    dims = _resolve_dims(args, values)
     c_values = _parse_list(args.c_list, float, "c")
     r_values = _parse_list(args.r_list, int, "r")
     cfg = _build_config(args, dims, c_values[0], r_values[0])
-    records = bench.run_sweep(
-        args.data, _mask_spec(args), cfg, args.model, c_values, r_values, args.out
+    records = bench._sweep_loaded(
+        values, base_mask, _mask_spec(args), cfg, args.model, c_values, r_values,
+        args.out,
     )
     for c, r, report in records:
         print(

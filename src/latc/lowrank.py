@@ -9,23 +9,9 @@ unfolding of the iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensors import unfold
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Economy SVD ``matrix = U @ diag(singular_values) @ V.T``."""
-
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.singular_values) @ self.V.T
 
 
 def _as_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -46,15 +32,11 @@ def _check_truncation(r: int, m: int, n: int) -> None:
         )
 
 
-def svd(matrix: np.ndarray) -> SvdResult:
-    """Economy SVD with singular values in non-increasing order.
-
-    Convergence failures inside LAPACK surface as
-    ``numpy.linalg.LinAlgError``.
-    """
-    a = _as_matrix(matrix)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(U=u, singular_values=s, V=vh.T)
+def _check_weights(weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (3,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError(f"weights must be 3 non-negative values summing to 1, got {weights}")
+    return w
 
 
 def truncated_nuclear_norm(matrix: np.ndarray, r: int) -> float:
@@ -75,15 +57,16 @@ def svt(matrix: np.ndarray, r: int, tau: float) -> np.ndarray:
     values pass through unchanged and the remaining ones are
     soft-thresholded: ``s'[i] = max(s[i] - tau, 0)`` for ``i >= r``.
     This minimizes ``tau * ||X||_{r,*} + 0.5 * ||X - matrix||_F^2``.
+    Convergence failures inside LAPACK surface as
+    ``numpy.linalg.LinAlgError``.
     """
     a = _as_matrix(matrix)
     _check_truncation(r, *a.shape)
     if tau < 0:
         raise ValueError(f"threshold tau must be non-negative, got {tau}")
-    res = svd(a)
-    s = res.singular_values.copy()
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
     s[r:] = np.maximum(s[r:] - tau, 0.0)
-    return (res.U * s) @ res.V.T
+    return (u * s) @ vh
 
 
 def tensor_tnn(
@@ -98,9 +81,7 @@ def tensor_tnn(
     t = np.asarray(tensor, dtype=float)
     if t.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got shape {t.shape}")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (3,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights must be 3 non-negative values summing to 1, got {weights}")
+    w = _check_weights(weights)
     return float(
         sum(
             w[p - 1] * truncated_nuclear_norm(unfold(t, p), r)

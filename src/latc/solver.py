@@ -13,9 +13,11 @@ so the ratio ``rho / lam = 1 / c`` entering the Z step stays constant
 while ``rho`` grows geometrically.
 
 All three iterates are ``(M, T)`` matrices.  The mode-1 unfolding of
-``tensorize(Z)`` is ``Z`` itself and the other two unfoldings are taken
-from a copy-free tensor view, so the loop never converts between the
-two layouts.
+``tensorize(Z)`` is ``Z`` itself and ``tensorize`` is a copy-free view,
+so the loop never converts between the two layouts.
+:meth:`SolverConfig.validate` checks the lags with
+:func:`~latc.autoreg.build_lag_structure` against ``T = I * J``, also
+when ``c = 0``, and the weights with the rule :func:`tensor_tnn` uses.
 
 Both baselines are parameter settings of the same loop: ``c = 0``
 removes the AR term and runs plain truncated-nuclear-norm completion
@@ -36,8 +38,8 @@ from .autoreg import (
     temporal_variation,
     update_coefficients,
 )
-from .lowrank import svt, tensor_tnn
-from .tensors import fold, frobenius_norm, project, unfold
+from .lowrank import _check_weights, svt, tensor_tnn
+from .tensors import fold, frobenius_norm, project, tensorize, unfold
 
 DEFAULT_LAGS = (1, 2, 3, 4, 5, 6)
 RHO_GROWTH = 1.05
@@ -83,12 +85,8 @@ class SolverConfig:
             raise ValueError(f"c must be non-negative, got {self.c}")
         if not isinstance(self.r, (int, np.integer)) or self.r < 0:
             raise ValueError(f"r must be a non-negative integer, got {self.r!r}")
-        lags = tuple(int(h) for h in self.lags)
-        if not lags or lags[0] <= 0 or any(b <= a for a, b in zip(lags, lags[1:])):
-            raise ValueError(f"lags must be strictly increasing positive, got {self.lags}")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (3,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights must be 3 non-negative values summing to 1, got {self.weights}")
+        build_lag_structure(self.lags, dims[1] * dims[2])
+        _check_weights(self.weights)
         if self.inner_iters < 1:
             raise ValueError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if self.max_outer_iters < 1:
@@ -137,12 +135,6 @@ class ImputationResult:
 Callback = Callable[[SolverState], None]
 
 
-def _tensor_view(matrix: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """``tensorize(matrix)`` without a copy for a C-contiguous ``(M, T)`` matrix."""
-    m, i, j = dims
-    return matrix.reshape(m, j, i).transpose(0, 2, 1)
-
-
 def update_x(W: np.ndarray, cfg: SolverConfig, rho: float) -> np.ndarray:
     """Weighted thresholding step over the three unfoldings.
 
@@ -154,8 +146,10 @@ def update_x(W: np.ndarray, cfg: SolverConfig, rho: float) -> np.ndarray:
     only bounded by the unfoldings that are thresholded.
     """
     W = np.asarray(W, dtype=float)
+    _, periods, blocks = cfg.dims
     out = np.zeros(W.shape)
-    w_tensor, out_tensor = _tensor_view(W, cfg.dims), _tensor_view(out, cfg.dims)
+    # Views: adding into out_tensor fills out.
+    w_tensor, out_tensor = tensorize(W, periods, blocks), tensorize(out, periods, blocks)
     for mode, weight in zip((1, 2, 3), cfg.weights):
         if weight == 0.0:
             continue
@@ -250,7 +244,7 @@ def impute(
                 change=change,
                 primal_residual=float(residuals.mean()),
                 rho=rho,
-                low_rank_term=tensor_tnn(_tensor_view(x, cfg.dims), cfg.r, cfg.weights),
+                low_rank_term=tensor_tnn(tensorize(x, i_dim, j_dim), cfg.r, cfg.weights),
                 ar_term=0.5 * lam * temporal_variation(Z, coeffs, lag) if use_ar else 0.0,
             )
         )

@@ -47,18 +47,21 @@ def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
     -------
     ndarray, shape (d_mode, prod of the remaining dims)
         The remaining axes are flattened in ascending order, earlier
-        axis varying fastest.
+        axis varying fastest.  At most one copy is made; the result is
+        a view of ``tensor`` when its layout allows.
     """
     t = _as_tensor(tensor)
     _check_mode(mode)
     n = t.shape[mode - 1]
-    return np.ascontiguousarray(
-        np.reshape(np.moveaxis(t, mode - 1, 0), (n, -1), order="F")
-    )
+    return np.moveaxis(t, mode - 1, 0).transpose(0, 2, 1).reshape(n, -1)
 
 
 def fold(matrix: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild the tensor of shape ``dims``."""
+    """Inverse of :func:`unfold`: rebuild the tensor of shape ``dims``.
+
+    The result is a view of ``matrix`` when it is C-contiguous, and
+    otherwise takes one copy.
+    """
     _check_mode(mode)
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d <= 0 for d in dims):
@@ -71,8 +74,8 @@ def fold(matrix: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarra
             f"matrix shape {mat.shape} does not match mode-{mode} unfolding "
             f"{expected} of dims {dims}"
         )
-    t = np.moveaxis(np.reshape(mat, [dims[mode - 1]] + rest, order="F"), 0, mode - 1)
-    return np.ascontiguousarray(t)
+    t = mat.reshape(dims[mode - 1], rest[1], rest[0]).transpose(0, 2, 1)
+    return np.moveaxis(t, 0, mode - 1)
 
 
 def tensorize(matrix: np.ndarray, periods: int, blocks: int) -> np.ndarray:
@@ -81,17 +84,18 @@ def tensorize(matrix: np.ndarray, periods: int, blocks: int) -> np.ndarray:
     Column ``j * periods + i`` of the matrix becomes entry ``[:, i, j]``
     of the tensor, so each frontal slice holds one block (day) of
     ``periods`` consecutive time steps.  This is exactly the mode-1
-    :func:`fold`.
+    :func:`fold`.  For a C-contiguous matrix the tensor is a view, and
+    writing to it writes to the matrix.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {mat.shape}")
     m, t = mat.shape
-    if t != periods * blocks:
+    if periods <= 0 or blocks <= 0 or t != periods * blocks:
         raise ValueError(
             f"matrix has {t} columns, cannot split into {periods} x {blocks}"
         )
-    return fold(mat, 1, (m, periods, blocks))
+    return mat.reshape(m, blocks, periods).transpose(0, 2, 1)
 
 
 def detensorize(tensor: np.ndarray) -> np.ndarray:
@@ -111,12 +115,3 @@ def project(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def frobenius_norm(array: np.ndarray) -> float:
     """Frobenius norm of an array of any shape."""
     return float(np.linalg.norm(np.asarray(array, dtype=float).ravel()))
-
-
-def tensor_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean inner product of two equally shaped arrays."""
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.dot(x.ravel(), y.ravel()))

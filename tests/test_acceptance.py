@@ -152,7 +152,7 @@ def test_criterion_1_svt_optimality():
 
 
 def test_criterion_2_banded_vectorized_equivalence():
-    """The per-series banded AR solve and the stacked Kronecker solve
+    """The banded AR solve and the stacked Kronecker solve
     are the same linear system: answers agree to 1e-8 relative."""
     started = time.perf_counter()
     rng = np.random.default_rng(1)

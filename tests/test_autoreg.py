@@ -13,7 +13,6 @@ from latc import (
     ar_residual,
     build_lag_structure,
     solve_z_matrix,
-    solve_z_series,
     temporal_variation,
     update_coefficients,
 )
@@ -123,21 +122,30 @@ class TestTemporalVariation:
             temporal_variation(np.zeros((2, 5)), np.zeros((3, 1)), lag)
         with pytest.raises(ValueError):
             temporal_variation(np.zeros((2, 6)), np.zeros((2, 1)), lag)
+        with pytest.raises(ValueError):
+            temporal_variation(np.zeros(5), np.zeros(1), lag)
+
+
+def solve_one(x, a, lag, alpha):
+    """:func:`solve_z_matrix` on the one-row matrix holding series ``x``."""
+    return solve_z_matrix(x[None, :], a[None, :], lag, alpha)[0]
 
 
 class TestSolveZSeries:
+    """One-series cases, each a one-row input of :func:`solve_z_matrix`."""
+
     def test_ar_consistent_fixed_point(self):
         # Constant series with a=1 has zero residual, so it solves the
         # system exactly for any alpha.
         lag = build_lag_structure((1,), 10)
         x = np.full(10, 3.5)
-        z = solve_z_series(x, np.array([1.0]), lag, 0.7)
+        z = solve_one(x, np.array([1.0]), lag, 0.7)
         assert np.allclose(z, x, atol=1e-12)
 
     def test_hand_solved_2x2(self):
         # a=0, H={1}, T=2: B=[0 1], B'B=diag(0,1); (diag(1,2))z=(1,0).
         lag = build_lag_structure((1,), 2)
-        z = solve_z_series(np.array([1.0, 0.0]), np.array([0.0]), lag, 1.0)
+        z = solve_one(np.array([1.0, 0.0]), np.array([0.0]), lag, 1.0)
         assert np.allclose(z, [1.0, 0.0], atol=1e-12)
 
     def test_normal_equations_residual(self):
@@ -148,7 +156,7 @@ class TestSolveZSeries:
             x = rng.normal(size=30)
             a = rng.normal(size=3)
             alpha = float(rng.uniform(0.1, 5.0))
-            z = solve_z_series(x, a, lag, alpha)
+            z = solve_one(x, a, lag, alpha)
             b = dense_residual_matrix(a, lag)
             lhs = (b.T @ b + alpha * np.eye(30)) @ z
             assert np.linalg.norm(lhs - alpha * x) < 1e-9 * alpha * np.linalg.norm(x)
@@ -160,7 +168,7 @@ class TestSolveZSeries:
             x = rng.normal(size=25)
             a = rng.normal(size=2)
             assert np.allclose(
-                solve_z_series(x, a, lag, 0.9), dense_solve(x, a, lag, 0.9), atol=1e-10
+                solve_one(x, a, lag, 0.9), dense_solve(x, a, lag, 0.9), atol=1e-10
             )
 
     def test_large_alpha_limit(self):
@@ -170,13 +178,13 @@ class TestSolveZSeries:
         a = rng.normal(size=2)
         b = dense_residual_matrix(a, lag)
         alpha = 1e6 * np.linalg.norm(b.T @ b, 2)
-        z = solve_z_series(x, a, lag, alpha)
+        z = solve_one(x, a, lag, alpha)
         assert np.linalg.norm(z - x) <= 1e-3 * np.linalg.norm(x)
 
     def test_alpha_must_be_positive(self):
         lag = build_lag_structure((1,), 5)
         with pytest.raises(ValueError):
-            solve_z_series(np.zeros(5), np.zeros(1), lag, 0.0)
+            solve_one(np.zeros(5), np.zeros(1), lag, 0.0)
 
 
 class TestSolveZMatrix:
@@ -187,7 +195,32 @@ class TestSolveZMatrix:
         a = rng.normal(size=(3, 2))
         out = solve_z_matrix(x, a, lag, 1.3)
         for m in range(3):
-            assert np.array_equal(out[m], solve_z_series(x[m], a[m], lag, 1.3))
+            assert np.allclose(out[m], dense_solve(x[m], a[m], lag, 1.3), atol=1e-10)
+
+    def test_rows_are_independent(self):
+        # Each row is solved on its own band: changing one row's series or
+        # coefficients leaves every other row bit-identical.
+        rng = np.random.default_rng(13)
+        lag = build_lag_structure((1, 3), 12)
+        x = rng.normal(size=(4, 12))
+        a = rng.normal(size=(4, 2))
+        out = solve_z_matrix(x, a, lag, 1.3)
+        x2, a2 = x.copy(), a.copy()
+        x2[1] += rng.normal(size=12)
+        a2[1] += 0.5
+        out2 = solve_z_matrix(x2, a2, lag, 1.3)
+        assert not np.array_equal(out2[1], out[1])
+        for m in (0, 2, 3):
+            assert np.array_equal(out2[m], out[m])
+
+    def test_shape_mismatch(self):
+        lag = build_lag_structure((1, 2), 6)
+        with pytest.raises(ValueError):
+            solve_z_matrix(np.zeros(6), np.zeros(2), lag, 1.0)
+        with pytest.raises(ValueError):
+            solve_z_matrix(np.zeros((2, 7)), np.zeros((2, 2)), lag, 1.0)
+        with pytest.raises(ValueError):
+            solve_z_matrix(np.zeros((2, 6)), np.zeros((2, 1)), lag, 1.0)
 
     def test_ar_consistent_rows_unchanged(self):
         lag = build_lag_structure((1,), 9)
@@ -212,7 +245,7 @@ class TestSolveZVectorized:
         x = rng.normal(size=14)
         a = rng.normal(size=2)
         joint = solve_z_vectorized(x[None, :], a[None, :], lag, 1.1)
-        assert np.allclose(joint[0], solve_z_series(x, a, lag, 1.1), atol=1e-10)
+        assert np.allclose(joint[0], solve_one(x, a, lag, 1.1), atol=1e-10)
 
     def test_zero_coefficients_both_paths(self):
         rng = np.random.default_rng(7)

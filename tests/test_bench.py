@@ -581,6 +581,12 @@ class TestCli:
         path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
         assert main(self.impute_args(path, J="5")) == 2
 
+    @pytest.mark.parametrize("model", ["latc", "lrtc-tnn"])
+    def test_lag_beyond_series_is_usage_error(self, tmp_path, capsys, model):
+        path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)  # T = 48
+        assert main(self.impute_args(path, lags="1,48", model=model, c="0")) == 1
+        assert "largest lag 48" in capsys.readouterr().err
+
     def test_sweep_requires_out(self, tmp_path, capsys):
         path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
         args = [
@@ -601,6 +607,22 @@ class TestCli:
         assert (out / "grid.txt").exists()
         assert len(capsys.readouterr().out.splitlines()) == 4
 
+    @pytest.mark.parametrize("command", ["impute", "sweep"])
+    def test_data_file_parsed_once(self, tmp_path, monkeypatch, capsys, command):
+        import latc.bench as bench
+
+        path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
+        loads = []
+        monkeypatch.setattr(
+            bench, "load_matrix", lambda p: loads.append(p) or load_matrix(p)
+        )
+        args = self.impute_args(path, out=tmp_path / "out")
+        if command == "sweep":
+            args[0] = "sweep"
+            args[args.index("--c") + 1] = "0.05,0.5"
+        assert main(args) == 0
+        assert loads == [str(path)]
+
     def test_solver_failure_maps_to_exit_three(self, tmp_path, monkeypatch, capsys):
         import latc.bench as bench
 
@@ -609,7 +631,7 @@ class TestCli:
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(bench, "run_experiment", boom)
+        monkeypatch.setattr(bench, "impute", boom)
         assert main(self.impute_args(path)) == 3
         assert "solver failure" in capsys.readouterr().err
 

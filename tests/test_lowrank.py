@@ -13,7 +13,7 @@ find a strictly better point.
 import numpy as np
 import pytest
 
-from latc import svd, svt, tensor_tnn, truncated_nuclear_norm, unfold
+from latc import svt, tensor_tnn, truncated_nuclear_norm, unfold
 
 
 def tnn_objective(x, z, r, tau):
@@ -35,33 +35,6 @@ def descend(x0, z, r, tau, steps=200):
         else:
             step *= 0.5
     return x, best
-
-
-class TestSvd:
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(0)
-        for shape in [(5, 5), (4, 7), (7, 4), (1, 6)]:
-            a = rng.normal(size=shape)
-            res = svd(a)
-            k = min(shape)
-            assert res.singular_values.shape == (k,)
-            assert np.all(np.diff(res.singular_values) <= 1e-12)
-            assert np.all(res.singular_values >= 0)
-            assert np.allclose(res.reconstruct(), a, atol=1e-10)
-            assert np.allclose(res.U.T @ res.U, np.eye(k), atol=1e-10)
-            assert np.allclose(res.V.T @ res.V, np.eye(k), atol=1e-10)
-
-    def test_identity(self):
-        res = svd(np.eye(3))
-        assert np.allclose(res.singular_values, 1.0)
-
-    def test_diag_sorted(self):
-        res = svd(np.diag([1.0, 3.0, 2.0]))
-        assert np.allclose(res.singular_values, [3.0, 2.0, 1.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestTruncatedNuclearNorm:
@@ -171,6 +144,8 @@ class TestSvt:
             svt(np.zeros((3, 3)), 3, 1.0)
         with pytest.raises(ValueError):
             svt(np.zeros((3, 3)), 1, -0.5)
+        with pytest.raises(ValueError):
+            svt(np.array([[1.0, np.nan], [0.0, 1.0]]), 0, 1.0)
 
 
 class TestTensorTnn:

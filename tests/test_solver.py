@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import latc
 from latc import (
     ImputationResult,
     SolverConfig,
@@ -192,6 +193,19 @@ class TestImpute:
             with pytest.raises(ValueError):
                 impute(y, mask, small_cfg((6, 5, 4), **bad))
 
+    @pytest.mark.parametrize("c", [1.0, 0.0])
+    def test_lag_beyond_series_rejected(self, c):
+        # T = I * J = 20: the largest lag must be at most 19, also when
+        # c = 0 leaves the AR half unused.
+        cfg = small_cfg((6, 5, 4), c=c, lags=(1, 20))
+        with pytest.raises(ValueError, match="largest lag 20"):
+            cfg.validate()
+        dataclasses.replace(cfg, lags=(1, 19)).validate()
+        y, mask = rank1_instance(m=6, i=5, j=4, seed=30)
+        for solve in (impute, impute_lamc, lrtc_tnn_mode):
+            with pytest.raises(ValueError):
+                solve(y, mask, cfg)
+
     @pytest.mark.parametrize("solve", [impute, impute_lamc, lrtc_tnn_mode])
     def test_all_zero_observations(self, solve):
         # No nonzero observation: the change is measured in absolute
@@ -294,3 +308,9 @@ class TestResultType:
         assert result.coefficients.shape == (6, 2)
         assert isinstance(result.converged, bool)
         assert result.iterations == len(result.history)
+
+
+def test_public_surface():
+    assert len(latc.__all__) == len(set(latc.__all__))
+    for name in latc.__all__:
+        assert getattr(latc, name) is not None

@@ -14,7 +14,6 @@ from latc import (
     fold,
     frobenius_norm,
     project,
-    tensor_inner,
     tensorize,
     unfold,
 )
@@ -124,6 +123,14 @@ class TestTensorize:
         assert np.all(t[0] == 2.0)
         assert np.all(t[1] == 5.0)
 
+    def test_view_of_contiguous_matrix(self):
+        y = np.arange(24.0).reshape(2, 12)
+        t = tensorize(y, 3, 4)
+        assert np.shares_memory(t, y)
+        assert np.shares_memory(detensorize(t), y)
+        t[1, 2, 3] = -1.0
+        assert y[1, 3 * 3 + 2] == -1.0
+
     def test_rejects_bad_split(self):
         with pytest.raises(ValueError):
             tensorize(np.zeros((2, 10)), 3, 4)
@@ -162,18 +169,6 @@ class TestNorms:
         rng = np.random.default_rng(10)
         t = rng.normal(size=(3, 4, 5))
         assert frobenius_norm(t) == pytest.approx(np.sqrt(np.sum(t**2)), rel=1e-14)
-
-    def test_inner_recovers_norm(self):
-        rng = np.random.default_rng(11)
-        t = rng.normal(size=(2, 3, 4))
-        assert tensor_inner(t, t) == pytest.approx(frobenius_norm(t) ** 2, rel=1e-12)
-
-    def test_inner_is_bilinear(self):
-        rng = np.random.default_rng(12)
-        a, b, c = (rng.normal(size=(2, 5)) for _ in range(3))
-        assert tensor_inner(a + 2 * b, c) == pytest.approx(
-            tensor_inner(a, c) + 2 * tensor_inner(b, c), rel=1e-12
-        )
 
     def test_zero(self):
         assert frobenius_norm(np.zeros((2, 2, 2))) == 0.0

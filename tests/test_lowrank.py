@@ -37,6 +37,18 @@ def descend(x0, z, r, tau, steps=200):
     return x, best
 
 
+class TestSvd:
+    """The input guard in front of every SVD the module takes."""
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            a = np.array([[1.0, bad], [0.0, 1.0]])
+            with pytest.raises(ValueError):
+                svt(a, 0, 1.0)
+            with pytest.raises(ValueError):
+                truncated_nuclear_norm(a, 0)
+
+
 class TestTruncatedNuclearNorm:
     def test_diag_example(self):
         z = np.diag([5.0, 3.0, 1.0])

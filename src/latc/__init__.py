@@ -36,12 +36,9 @@ from .solver import (
     SolverConfig,
     SolverState,
     impute,
-    impute_lamc,
-    lrtc_tnn_mode,
     update_x,
 )
 from .tensors import (
-    detensorize,
     fold,
     frobenius_norm,
     project,
@@ -77,10 +74,7 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "impute",
-    "impute_lamc",
-    "lrtc_tnn_mode",
     "update_x",
-    "detensorize",
     "fold",
     "frobenius_norm",
     "project",

@@ -15,21 +15,33 @@ missing.  Three masking patterns hide observed entries for evaluation:
 Imputation quality is scored on the hidden-but-known entries with MAPE
 (entries with ``|truth| <= 1e-6`` excluded and counted) and RMSE (all
 hidden entries).
+
+:data:`MODELS` is the only table of model names.  Each row holds the
+``SolverConfig`` fields the model replaces before calling
+:func:`~latc.solver.impute`: LAMC thresholds only the ``(M, T)``
+matrix, and LRTC-TNN drops the AR term.  All CSV files, data and masks,
+are read by one row-by-row parser and written by one row-by-row writer.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .solver import ImputationResult, SolverConfig, impute, impute_lamc, lrtc_tnn_mode
+from .solver import ImputationResult, SolverConfig, impute
 from .tensors import project
 
 PATTERNS = ("rm", "nm", "bm")
-MODELS = ("latc", "lamc", "lrtc-tnn")
+# Each model is ``impute`` with these ``SolverConfig`` fields replaced.
+MODELS = {
+    "latc": {},
+    "lamc": {"weights": (1.0, 0.0, 0.0)},
+    "lrtc-tnn": {"c": 0.0},
+}
 ZERO_TOLERANCE = 1e-6
 
 _METRICS_FILE = "metrics.txt"
@@ -105,45 +117,74 @@ def load_matrix(path, fmt: str | None = None):
         else:
             raise DataError(f"cannot infer format from suffix {suffix!r} of {path}")
     if fmt == "csv":
-        return _load_csv(path)
+        values = _read_csv(path, _data_cell, float)
+        mask = ~np.isnan(values)
+        values[~mask] = 0.0
+        return values, mask
     if fmt == "binary":
         return _load_binary(path)
     raise DataError(f"unknown format {fmt!r}")
 
 
-def _load_csv(path: Path):
+def _read_csv(path: Path, cell, dtype) -> np.ndarray:
+    """Parse a CSV file into a matrix of ``dtype``, one row at a time.
+
+    Blank lines are skipped.  ``cell`` maps one token to its value and
+    raises ``ValueError`` for a bad token, which is reported with its
+    row and column.
+    """
+    rows = []
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            for row in csv.reader(fh):
+                if not row:
+                    continue
+                i = len(rows) + 1
+                if rows and len(row) != rows[0].size:
+                    raise DataError(
+                        f"{path}: row {i} has {len(row)} columns, expected {rows[0].size}"
+                    )
+                parsed = []
+                for j, token in enumerate(row, start=1):
+                    try:
+                        parsed.append(cell(token))
+                    except ValueError as exc:
+                        raise DataError(f"{path}: {exc} at row {i}, column {j}") from exc
+                rows.append(np.array(parsed, dtype=dtype))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path} is empty")
-    width = len(rows[0])
-    values = np.zeros((len(rows), width))
-    mask = np.ones((len(rows), width), dtype=bool)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(
-                f"{path}: row {i + 1} has {len(row)} columns, expected {width}"
-            )
-        for j, token in enumerate(row):
-            token = token.strip()
-            if token == "" or token.lower() == "nan":
-                mask[i, j] = False
-                continue
-            try:
-                value = float(token)
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: non-numeric token {token!r} at row {i + 1}, column {j + 1}"
-                ) from exc
-            if not np.isfinite(value):
-                raise DataError(
-                    f"{path}: non-finite value {token!r} at row {i + 1}, column {j + 1}"
-                )
-            values[i, j] = value
-    return values, mask
+    return np.vstack(rows)
+
+
+def _data_cell(token: str) -> float:
+    """A finite value, or NaN for an empty or ``nan`` (missing) cell."""
+    token = token.strip()
+    if token == "" or token.lower() == "nan":
+        return math.nan
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"non-numeric token {token!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
+def _mask_cell(token: str) -> bool:
+    token = token.strip()
+    if token not in ("0", "1"):
+        raise ValueError(f"mask cell must be 0 or 1, got {token!r}")
+    return token == "1"
+
+
+def _write_csv(path, rows) -> None:
+    """Write rows of string cells, one comma-separated line each."""
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(",".join(row))
+            fh.write("\n")
 
 
 def _load_binary(path: Path):
@@ -174,43 +215,18 @@ def save_matrix(path, values: np.ndarray, mask: np.ndarray | None = None) -> Non
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != values.shape:
         raise ValueError(f"mask shape {mask.shape} != values shape {values.shape}")
-    lines = []
-    for i in range(values.shape[0]):
-        lines.append(
-            ",".join(
-                repr(float(values[i, j])) if mask[i, j] else ""
-                for j in range(values.shape[1])
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(
+        path,
+        (
+            [repr(v) if kept else "" for v, kept in zip(row.tolist(), row_mask.tolist())]
+            for row, row_mask in zip(values, mask)
+        ),
+    )
 
 
 def load_mask(path) -> np.ndarray:
     """Read a CSV of 0/1 cells into a boolean matrix."""
-    path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path} is empty")
-    width = len(rows[0])
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(
-                f"{path}: row {i + 1} has {len(row)} columns, expected {width}"
-            )
-        for j, token in enumerate(row):
-            token = token.strip()
-            if token not in ("0", "1"):
-                raise DataError(
-                    f"{path}: mask cell must be 0 or 1, got {token!r} at "
-                    f"row {i + 1}, column {j + 1}"
-                )
-            mask[i, j] = token == "1"
-    return mask
+    return _read_csv(Path(path), _mask_cell, bool)
 
 
 def save_mask(path, mask: np.ndarray) -> None:
@@ -218,8 +234,7 @@ def save_mask(path, mask: np.ndarray) -> None:
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {mask.shape}")
-    lines = [",".join("1" if v else "0" for v in row) for row in mask]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, (["1" if v else "0" for v in row.tolist()] for row in mask))
 
 
 def generate_mask(
@@ -292,16 +307,8 @@ def evaluate(
 def _normalize_model(model: str) -> str:
     name = model.strip().lower().replace("_", "-")
     if name not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+        raise ValueError(f"model must be one of {tuple(MODELS)}, got {model!r}")
     return name
-
-
-def _run_model(model: str, values, mask, cfg: SolverConfig) -> ImputationResult:
-    if model == "latc":
-        return impute(values, mask, cfg)
-    if model == "lamc":
-        return impute_lamc(values, mask, cfg)
-    return lrtc_tnn_mode(values, mask, cfg)
 
 
 def run_experiment(
@@ -313,17 +320,19 @@ def run_experiment(
 ) -> EvalReport:
     """Mask, impute and score one data set; optionally write artifacts.
 
-    The artifacts written to ``out_dir`` are the imputed matrix
-    (``imputed.csv``), the evaluation mask (``eval_mask.csv``, 1 marks a
-    scored cell), ``metrics.txt`` and per-outer-iteration
+    ``model`` names a row of :data:`MODELS`: the solver runs
+    :func:`~latc.solver.impute` on ``cfg`` with that row's settings
+    applied, and the configuration is validated before anything is
+    written.  The artifacts written to ``out_dir`` are the imputed
+    matrix (``imputed.csv``), the evaluation mask (``eval_mask.csv``, 1
+    marks a scored cell), ``metrics.txt`` and per-outer-iteration
     ``history.txt`` as ``key = value`` records, and the single grid
-    record ``cell.txt``.  Files are removed again if writing fails
-    part-way.  Outputs are byte-identical across repeated runs with the
-    same inputs and seeds.
+    record ``cell.txt``; ``metrics.txt`` and ``cell.txt`` record the
+    ``c`` and ``r`` of ``cfg``.  Files are removed again if writing
+    fails part-way.  Outputs are byte-identical across repeated runs
+    with the same inputs and seeds.
     """
     model = _normalize_model(model)
-    spec.validate()
-    cfg.validate()
     values, base_mask = load_matrix(data_path)
     return _run_loaded(values, base_mask, spec, cfg, model, out_dir)
 
@@ -349,7 +358,7 @@ def _run_loaded(
             "masking hid no observed entries; nothing to evaluate "
             f"(pattern={spec.pattern}, rate={spec.rate})"
         )
-    result = _run_model(model, project(values, observed), observed, cfg)
+    result = impute(project(values, observed), observed, replace(cfg, **MODELS[model]))
     report = evaluate(values, result.recovered, eval_mask)
     if out_dir is not None:
         _write_artifacts(Path(out_dir), spec, cfg, model, result, report, eval_mask)
@@ -368,10 +377,12 @@ def _write_artifacts(
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     try:
-        save_matrix(out_dir / _IMPUTED_FILE, result.recovered)
+        # Each file is listed before it is opened, so a write that stops
+        # part-way is removed too.
         written.append(out_dir / _IMPUTED_FILE)
-        save_mask(out_dir / _EVAL_MASK_FILE, eval_mask)
+        save_matrix(out_dir / _IMPUTED_FILE, result.recovered)
         written.append(out_dir / _EVAL_MASK_FILE)
+        save_mask(out_dir / _EVAL_MASK_FILE, eval_mask)
         metrics = [
             ("model", model),
             ("pattern", spec.pattern),
@@ -389,8 +400,9 @@ def _write_artifacts(
             ("iterations", result.iterations),
             ("converged", result.converged),
         ]
-        _write_records(out_dir / _METRICS_FILE, [[item] for item in metrics])
         written.append(out_dir / _METRICS_FILE)
+        _write_records(out_dir / _METRICS_FILE, [[item] for item in metrics])
+        written.append(out_dir / _HISTORY_FILE)
         _write_records(
             out_dir / _HISTORY_FILE,
             [
@@ -405,7 +417,7 @@ def _write_artifacts(
                 for rec in result.history
             ],
         )
-        written.append(out_dir / _HISTORY_FILE)
+        written.append(out_dir / _CELL_FILE)
         _write_records(
             out_dir / _CELL_FILE,
             [
@@ -417,7 +429,6 @@ def _write_artifacts(
                 ]
             ],
         )
-        written.append(out_dir / _CELL_FILE)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -435,12 +446,12 @@ def run_sweep(
 ) -> list[tuple[float, int, EvalReport]]:
     """Grid of :func:`run_experiment` cells over ``c`` and ``r``.
 
-    The data file is read once, before the first cell.  Each cell
-    writes its artifacts to its own subdirectory of ``out_dir`` and one
-    summary record per cell goes to ``grid.txt``.
+    The data file is read once, and every cell's configuration is
+    validated before the first cell runs.  Each cell writes its
+    artifacts to its own subdirectory of ``out_dir`` and one summary
+    record per cell goes to ``grid.txt``.
     """
     model = _normalize_model(model)
-    spec.validate()
     values, base_mask = load_matrix(data_path)
     return _sweep_loaded(values, base_mask, spec, cfg, model, c_values, r_values, out_dir)
 
@@ -457,14 +468,14 @@ def _sweep_loaded(
 ) -> list[tuple[float, int, EvalReport]]:
     """:func:`run_sweep` after the data file has been read."""
     out_dir = Path(out_dir)
+    cells = [replace(cfg, c=float(c), r=int(r)) for c in c_values for r in r_values]
+    for cell_cfg in cells:
+        replace(cell_cfg, **MODELS[model]).validate()
     records = []
-    for c in c_values:
-        for r in r_values:
-            cell_cfg = replace(cfg, c=float(c), r=int(r))
-            cell_cfg.validate()
-            cell_dir = out_dir / f"cell_c{c:g}_r{int(r)}"
-            report = _run_loaded(values, base_mask, spec, cell_cfg, model, cell_dir)
-            records.append((float(c), int(r), report))
+    for cell_cfg in cells:
+        cell_dir = out_dir / f"cell_c{cell_cfg.c:g}_r{cell_cfg.r}"
+        report = _run_loaded(values, base_mask, spec, cell_cfg, model, cell_dir)
+        records.append((cell_cfg.c, cell_cfg.r, report))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_records(
         out_dir / _GRID_FILE,

@@ -134,7 +134,7 @@ def _resolve_dims(args, values: np.ndarray) -> tuple[int, int, int]:
 
 
 def _build_config(args, dims, c: float, r: int) -> SolverConfig:
-    cfg = SolverConfig(
+    return SolverConfig(
         dims=dims,
         rho0=args.rho,
         c=c,
@@ -142,22 +142,12 @@ def _build_config(args, dims, c: float, r: int) -> SolverConfig:
         lags=parse_lags(args.lags),
         seed=args.seed,
     )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    return cfg
 
 
 def _mask_spec(args) -> MaskSpec:
-    spec = MaskSpec(
+    return MaskSpec(
         pattern=args.pattern, rate=args.rate, window=args.window, seed=args.seed
     )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    return spec
 
 
 def _print_report(report: bench.EvalReport) -> None:

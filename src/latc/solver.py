@@ -17,17 +17,20 @@ All three iterates are ``(M, T)`` matrices.  The mode-1 unfolding of
 so the loop never converts between the two layouts.
 :meth:`SolverConfig.validate` checks the lags with
 :func:`~latc.autoreg.build_lag_structure` against ``T = I * J``, also
-when ``c = 0``, and the weights with the rule :func:`tensor_tnn` uses.
+when ``c = 0``, the weights with the rule :func:`tensor_tnn` uses, and
+``r`` with the truncation rule of :func:`~latc.lowrank.svt` against
+every unfolding with nonzero weight.
 
-Both baselines are parameter settings of the same loop: ``c = 0``
-removes the AR term and runs plain truncated-nuclear-norm completion
-(:func:`lrtc_tnn_mode`), and ``weights = (1, 0, 0)`` thresholds only
-the ``(M, T)`` matrix, which is the matrix model (:func:`impute_lamc`).
+:func:`impute` is the only entry point.  Both baselines are parameter
+settings of it: ``c = 0`` removes the AR term and runs plain
+truncated-nuclear-norm completion (LRTC-TNN), and
+``weights = (1, 0, 0)`` thresholds only the ``(M, T)`` matrix, which is
+the matrix model (LAMC).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,7 +41,7 @@ from .autoreg import (
     temporal_variation,
     update_coefficients,
 )
-from .lowrank import _check_weights, svt, tensor_tnn
+from .lowrank import _check_truncation, _check_weights, svt, tensor_tnn
 from .tensors import fold, frobenius_norm, project, tensorize, unfold
 
 DEFAULT_LAGS = (1, 2, 3, 4, 5, 6)
@@ -54,13 +57,13 @@ class SolverConfig:
     ``dims = (M, I, J)`` fixes the tensor layout: ``M`` sensors, ``I``
     steps per day, ``J`` days, with the data matrix of shape
     ``(M, I * J)``.  ``c`` couples the AR weight to the ADMM penalty
-    (``lam = c * rho``); ``c = 0`` disables the AR half.  ``rho_max``
-    defaults to ``1e5 * rho0``.
+    (``lam = c * rho``); ``c = 0`` disables the AR half.  ``rho`` grows
+    from ``rho0`` by ``RHO_GROWTH`` per inner step, up to
+    ``RHO_MAX_FACTOR * rho0``.
     """
 
     dims: tuple[int, int, int]
     rho0: float = 1e-4
-    rho_max: float | None = None
     c: float = 1.0
     r: int = 10
     lags: tuple[int, ...] = DEFAULT_LAGS
@@ -70,23 +73,21 @@ class SolverConfig:
     tol: float = 1e-4
     seed: int = 0
 
-    def resolved_rho_max(self) -> float:
-        return RHO_MAX_FACTOR * self.rho0 if self.rho_max is None else self.rho_max
-
     def validate(self) -> None:
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise ValueError(f"dims must be three positive integers, got {self.dims}")
         if not self.rho0 > 0:
             raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        if self.rho_max is not None and self.rho_max < self.rho0:
-            raise ValueError(f"rho_max {self.rho_max} smaller than rho0 {self.rho0}")
         if self.c < 0:
             raise ValueError(f"c must be non-negative, got {self.c}")
-        if not isinstance(self.r, (int, np.integer)) or self.r < 0:
-            raise ValueError(f"r must be a non-negative integer, got {self.r!r}")
         build_lag_structure(self.lags, dims[1] * dims[2])
-        _check_weights(self.weights)
+        weights = _check_weights(self.weights)
+        # The mode-p unfolding has dims[p] rows and the other two sides as columns.
+        size = dims[0] * dims[1] * dims[2]
+        for side, weight in zip(dims, weights):
+            if weight > 0:
+                _check_truncation(self.r, side, size // side)
         if self.inner_iters < 1:
             raise ValueError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if self.max_outer_iters < 1:
@@ -189,15 +190,14 @@ def impute(
 
     ``mask`` is true on observed cells.  Observed entries of the result
     equal ``Y`` exactly; unobserved cells come from the converged
-    low-rank iterate.  ``r`` must be smaller than both sides of every
-    unfolding with nonzero weight; the first X step raises
-    ``ValueError`` otherwise.  With ``cfg.c == 0`` the AR half is
-    skipped and neither ``cfg.lags`` nor ``cfg.seed`` influences the
-    result.
+    low-rank iterate.  ``cfg`` is validated before the loop starts, so
+    ``r`` must be smaller than both sides of every unfolding with
+    nonzero weight.  With ``cfg.c == 0`` the AR half is skipped and
+    neither ``cfg.lags`` nor ``cfg.seed`` influences the result.
     """
     Y, mask = _check_inputs(Y, mask, cfg)
     m_dim, i_dim, j_dim = cfg.dims
-    rho_max = cfg.resolved_rho_max()
+    rho_max = RHO_MAX_FACTOR * cfg.rho0
     use_ar = cfg.c > 0
 
     if use_ar:
@@ -260,33 +260,3 @@ def impute(
         converged=converged,
         history=history,
     )
-
-
-def impute_lamc(
-    Y: np.ndarray,
-    mask: np.ndarray,
-    cfg: SolverConfig,
-    callback: Callback | None = None,
-) -> ImputationResult:
-    """Matrix model: :func:`impute` thresholding only the ``(M, T)`` matrix.
-
-    Runs with ``weights = (1, 0, 0)``, whose only thresholded unfolding
-    is the data matrix, so ``r`` must be smaller than ``min(M, T)``.
-    ``cfg.weights`` is ignored; the AR half and the schedule are those
-    of :func:`impute`.
-    """
-    return impute(Y, mask, replace(cfg, weights=(1.0, 0.0, 0.0)), callback)
-
-
-def lrtc_tnn_mode(
-    Y: np.ndarray,
-    mask: np.ndarray,
-    cfg: SolverConfig,
-    callback: Callback | None = None,
-) -> ImputationResult:
-    """Pure truncated-nuclear-norm tensor completion: :func:`impute` with ``c = 0``.
-
-    ``cfg.c`` is ignored; ``cfg.lags`` and ``cfg.seed`` do not affect
-    the output because the AR machinery is never touched.
-    """
-    return impute(Y, mask, replace(cfg, c=0.0), callback)

@@ -84,8 +84,9 @@ def tensorize(matrix: np.ndarray, periods: int, blocks: int) -> np.ndarray:
     Column ``j * periods + i`` of the matrix becomes entry ``[:, i, j]``
     of the tensor, so each frontal slice holds one block (day) of
     ``periods`` consecutive time steps.  This is exactly the mode-1
-    :func:`fold`.  For a C-contiguous matrix the tensor is a view, and
-    writing to it writes to the matrix.
+    :func:`fold`, so ``unfold(tensor, 1)`` is its inverse.  For a
+    C-contiguous matrix the tensor is a view, and writing to it writes
+    to the matrix.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2:
@@ -96,11 +97,6 @@ def tensorize(matrix: np.ndarray, periods: int, blocks: int) -> np.ndarray:
             f"matrix has {t} columns, cannot split into {periods} x {blocks}"
         )
     return mat.reshape(m, blocks, periods).transpose(0, 2, 1)
-
-
-def detensorize(tensor: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`tensorize`: back to the ``(M, T)`` matrix."""
-    return unfold(_as_tensor(tensor), 1)
 
 
 def project(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ The real-data reproduction (criterion 7) needs an external download and
 is skipped unless ``LATC_GUANGZHOU_DATA`` points at the data file.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -21,18 +22,18 @@ from latc import (
     MaskSpec,
     SolverConfig,
     build_lag_structure,
-    detensorize,
     evaluate,
     generate_mask,
     impute,
     load_matrix,
-    lrtc_tnn_mode,
     project,
     run_experiment,
     solve_z_matrix,
     svt,
     update_coefficients,
+    unfold,
 )
+from latc.bench import MODELS
 from oracles import solve_z_vectorized
 
 
@@ -96,7 +97,7 @@ def rank3_instance(m=30, i=24, j=14, seed=3):
         v = 1.0 + 0.4 * smooth_circ(rng.standard_normal(i), 8)
         w = 0.67 + 0.2 * smooth_circ(rng.standard_normal(j), 3)
         tensor += np.einsum("a,b,c->abc", u, v, w)
-    return detensorize(tensor)
+    return unfold(tensor, 1)
 
 
 def held_out_relative_rmse(truth, recovered, eval_mask):
@@ -109,7 +110,7 @@ def rank1_series(m=8, i=12, j=4, seed=0):
     u = rng.uniform(1.0, 2.0, size=m)
     v = 2.0 + 0.5 * np.sin(2 * np.pi * np.arange(i) / i)
     w = 1.5 + 0.2 * np.cos(2 * np.pi * np.arange(j) / j)
-    return detensorize(np.einsum("a,b,c->abc", u, v, w))
+    return unfold(np.einsum("a,b,c->abc", u, v, w), 1)
 
 
 # -------------------------------------------------------------- criteria
@@ -225,7 +226,7 @@ def test_criterion_4_synthetic_completion():
     observed_bm = generate_mask(base, dims, MaskSpec("bm", rate=0.3, window=6, seed=11))
     bm_input = project(truth, observed_bm)
     bm_latc = impute(bm_input, observed_bm, cfg)
-    bm_plain = lrtc_tnn_mode(bm_input, observed_bm, cfg)
+    bm_plain = impute(bm_input, observed_bm, dataclasses.replace(cfg, **MODELS["lrtc-tnn"]))
     bm_rel = held_out_relative_rmse(truth, bm_latc.recovered, ~observed_bm)
     bm_rel_plain = held_out_relative_rmse(truth, bm_plain.recovered, ~observed_bm)
 
@@ -254,8 +255,10 @@ def test_criterion_5_variant_identities():
     trail_a, trail_b = [], []
     out_a = impute(y, mask, cfg,
                    callback=lambda s: trail_a.append((s.x, s.z, s.dual, s.rho)))
-    out_b = lrtc_tnn_mode(y, mask, cfg,
-                          callback=lambda s: trail_b.append((s.x, s.z, s.dual, s.rho)))
+    # The LRTC-TNN row of the model table must zero a nonzero c.
+    tnn_cfg = dataclasses.replace(dataclasses.replace(cfg, c=1.0), **MODELS["lrtc-tnn"])
+    out_b = impute(y, mask, tnn_cfg,
+                   callback=lambda s: trail_b.append((s.x, s.z, s.dual, s.rho)))
     same_length = len(trail_a) == len(trail_b) > 0
     same_states = same_length and all(
         np.array_equal(xa, xb) and np.array_equal(za, zb)
@@ -264,7 +267,6 @@ def test_criterion_5_variant_identities():
     )
     same_output = np.array_equal(out_a.recovered, out_b.recovered)
 
-    import dataclasses
     other_lags = impute(y, mask, dataclasses.replace(cfg, lags=(1, 2, 3, 4, 5, 6)))
     other_seed = impute(y, mask, dataclasses.replace(cfg, seed=99))
     lag_free = np.array_equal(out_a.recovered, other_lags.recovered)

@@ -15,7 +15,6 @@ from latc import (
     DataError,
     MaskSpec,
     SolverConfig,
-    detensorize,
     evaluate,
     generate_mask,
     load_mask,
@@ -24,6 +23,7 @@ from latc import (
     run_sweep,
     save_mask,
     save_matrix,
+    unfold,
 )
 from latc.cli import main, parse_lags
 
@@ -35,7 +35,7 @@ def rank1_series(m=20, i=16, j=10, seed=0):
     u = rng.uniform(1.0, 2.0, size=m)
     v = 2.0 + 0.5 * np.sin(2 * np.pi * np.arange(i) / i)
     w = 1.5 + 0.2 * np.cos(2 * np.pi * np.arange(j) / j)
-    return detensorize(np.einsum("a,b,c->abc", u, v, w))
+    return unfold(np.einsum("a,b,c->abc", u, v, w), 1)
 
 
 def experiment_cfg(dims, **overrides):
@@ -109,6 +109,14 @@ class TestLoadMatrix:
         with pytest.raises(DataError, match="cannot read"):
             load_matrix(tmp_path / "nope.csv")
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("\n\n")
+        with pytest.raises(DataError, match="empty"):
+            load_matrix(path)
+        with pytest.raises(DataError, match="empty"):
+            load_mask(path)
+
     def test_unknown_suffix(self, tmp_path):
         path = tmp_path / "a.dat"
         path.write_text("1,2\n")
@@ -160,6 +168,38 @@ class TestMaskIO:
     def test_save_matrix_rejects_non_matrix(self, tmp_path):
         with pytest.raises(ValueError):
             save_matrix(tmp_path / "a.csv", np.arange(4.0))
+
+    def test_bad_cell_reports_row_and_column(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("1,2\n\n3,x\n")
+        with pytest.raises(DataError, match="'x' at row 2, column 2"):
+            load_matrix(path)
+        path.write_text("0,1\n1,1,\n")
+        with pytest.raises(DataError, match="row 2 has 3 columns, expected 2"):
+            load_mask(path)
+        path.write_text("0,1\n1, 7\n")
+        with pytest.raises(DataError, match="got '7' at row 2, column 2"):
+            load_mask(path)
+
+
+class TestCsvBytes:
+    """The written CSV format, frozen byte for byte: other tools parse
+    these files, some of them strictly."""
+
+    values = np.array([[0.1, 1.0 / 3.0, -2.5e-07], [1e22, 3.0, -0.0]])
+    mask = np.array([[True, False, True], [True, True, False]])
+
+    def test_save_matrix_bytes(self, tmp_path):
+        save_matrix(tmp_path / "holes.csv", self.values, self.mask)
+        assert (tmp_path / "holes.csv").read_bytes() == b"0.1,,-2.5e-07\n1e+22,3.0,\n"
+        save_matrix(tmp_path / "full.csv", self.values)
+        assert (tmp_path / "full.csv").read_bytes() == (
+            b"0.1,0.3333333333333333,-2.5e-07\n1e+22,3.0,-0.0\n"
+        )
+
+    def test_save_mask_bytes(self, tmp_path):
+        save_mask(tmp_path / "mask.csv", self.mask)
+        assert (tmp_path / "mask.csv").read_bytes() == b"1,0,1\n1,1,0\n"
 
 
 class TestMaskSpec:
@@ -606,6 +646,30 @@ class TestCli:
         assert main(args) == 0
         assert (out / "grid.txt").exists()
         assert len(capsys.readouterr().out.splitlines()) == 4
+
+    @pytest.mark.parametrize("c_list, r_list", [("1,10", "1,9"), ("1,-1", "1")])
+    def test_sweep_with_invalid_later_cell_writes_nothing(
+        self, tmp_path, capsys, c_list, r_list
+    ):
+        # (8, 12, 4): r = 9 is not below min(4, 96), and c = -1 is negative.
+        path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
+        out = tmp_path / "grid"
+        args = [
+            "sweep", "--data", str(path), "--I", "12", "--c", c_list, "--r", r_list,
+            "--lags", "1,2", "--out", str(out),
+        ]
+        assert main(args) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, code", [("lamc", 0), ("latc", 1)])
+    def test_r_bound_follows_model(self, tmp_path, capsys, model, code):
+        # (8, 12, 4): LAMC thresholds only the 8 x 48 matrix, so r = 6 is
+        # valid; LATC also thresholds the 4 x 96 unfolding.
+        path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
+        out = tmp_path / "out"
+        assert main(self.impute_args(path, out=out, model=model, r=6)) == code
+        assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("command", ["impute", "sweep"])
     def test_data_file_parsed_once(self, tmp_path, monkeypatch, capsys, command):

@@ -14,16 +14,17 @@ import latc
 from latc import (
     ImputationResult,
     SolverConfig,
-    detensorize,
     fold,
     impute,
-    impute_lamc,
-    lrtc_tnn_mode,
     svt,
     tensorize,
     unfold,
     update_x,
 )
+from latc.bench import MODELS
+
+LAMC = MODELS["lamc"]
+LRTC_TNN = MODELS["lrtc-tnn"]
 
 
 def rank1_instance(m=20, i=16, j=10, seed=0, observe=0.7):
@@ -38,7 +39,7 @@ def rank1_instance(m=20, i=16, j=10, seed=0, observe=0.7):
     v = 2.0 + 0.5 * np.sin(2 * np.pi * np.arange(i) / i)
     w = 1.5 + 0.2 * np.cos(2 * np.pi * np.arange(j) / j)
     tensor = np.einsum("a,b,c->abc", u, v, w)
-    y = detensorize(tensor)
+    y = unfold(tensor, 1)
     mask = rng.random(y.shape) < observe
     return y, mask
 
@@ -52,6 +53,16 @@ def small_cfg(dims, **overrides):
     base = dict(dims=dims, rho0=1e-4, c=1.0, r=1, lags=(1, 2), tol=1e-4, seed=0)
     base.update(overrides)
     return SolverConfig(**base)
+
+
+def lamc_cfg(dims, **overrides):
+    """``small_cfg`` with the LAMC row of the model table applied."""
+    return dataclasses.replace(small_cfg(dims, **overrides), **LAMC)
+
+
+def tnn_cfg(dims, **overrides):
+    """``small_cfg`` with the LRTC-TNN row of the model table applied."""
+    return dataclasses.replace(small_cfg(dims, **overrides), **LRTC_TNN)
 
 
 class TestUpdateX:
@@ -68,7 +79,7 @@ class TestUpdateX:
                 svt(unfold(w, mode), cfg.r, weight / rho), mode, (3, 4, 5)
             )
         out = update_x(z - dual / rho, cfg, rho)
-        assert np.allclose(out, detensorize(expected), atol=1e-12)
+        assert np.allclose(out, unfold(expected, 1), atol=1e-12)
 
     def test_zero_inputs(self):
         cfg = SolverConfig(dims=(2, 3, 4), r=1)
@@ -142,21 +153,20 @@ class TestImpute:
 
     def test_lam_zero_equals_lrtc_output(self):
         y, mask = rank1_instance(m=10, i=8, j=6, seed=14)
-        cfg = small_cfg((10, 8, 6), c=0.0)
-        a = impute(y, mask, cfg)
-        b = lrtc_tnn_mode(y, mask, cfg)
+        a = impute(y, mask, small_cfg((10, 8, 6), c=0.0))
+        b = impute(y, mask, tnn_cfg((10, 8, 6)))
         assert np.array_equal(a.recovered, b.recovered)
 
     def test_lam_zero_trajectories_match_lrtc(self):
         y, mask = rank1_instance(m=6, i=5, j=4, seed=15)
-        cfg = small_cfg((6, 5, 4), c=0.0, max_outer_iters=4)
+        cfg = small_cfg((6, 5, 4), max_outer_iters=4)
 
         def record(into):
             return lambda s: into.append((s.x.copy(), s.dual.copy()))
 
         t1, t2 = [], []
-        impute(y, mask, cfg, callback=record(t1))
-        lrtc_tnn_mode(y, mask, cfg, callback=record(t2))
+        impute(y, mask, dataclasses.replace(cfg, c=0.0), callback=record(t1))
+        impute(y, mask, dataclasses.replace(cfg, **LRTC_TNN), callback=record(t2))
         assert len(t1) == len(t2)
         for (x1, d1), (x2, d2) in zip(t1, t2):
             assert np.array_equal(x1, x2)
@@ -188,10 +198,20 @@ class TestImpute:
             dict(inner_iters=0),
             dict(tol=0.0),
             dict(lags=(2, 1)),
-            dict(rho_max=1e-6),
         ):
             with pytest.raises(ValueError):
                 impute(y, mask, small_cfg((6, 5, 4), **bad))
+
+    def test_r_bound_per_thresholded_unfolding(self):
+        # dims (6, 5, 4): the unfoldings are 6 x 20, 5 x 24 and 4 x 30.
+        for bad in (-1, 4, 1.5):
+            with pytest.raises(ValueError, match="truncation"):
+                small_cfg((6, 5, 4), r=bad).validate()
+        small_cfg((6, 5, 4), r=3).validate()
+        # LAMC thresholds only the 6 x 20 matrix.
+        lamc_cfg((6, 5, 4), r=5).validate()
+        with pytest.raises(ValueError, match="truncation"):
+            lamc_cfg((6, 5, 4), r=6).validate()
 
     @pytest.mark.parametrize("c", [1.0, 0.0])
     def test_lag_beyond_series_rejected(self, c):
@@ -202,17 +222,18 @@ class TestImpute:
             cfg.validate()
         dataclasses.replace(cfg, lags=(1, 19)).validate()
         y, mask = rank1_instance(m=6, i=5, j=4, seed=30)
-        for solve in (impute, impute_lamc, lrtc_tnn_mode):
+        for settings in MODELS.values():
             with pytest.raises(ValueError):
-                solve(y, mask, cfg)
+                impute(y, mask, dataclasses.replace(cfg, **settings))
 
-    @pytest.mark.parametrize("solve", [impute, impute_lamc, lrtc_tnn_mode])
-    def test_all_zero_observations(self, solve):
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_all_zero_observations(self, model):
         # No nonzero observation: the change is measured in absolute
         # terms and the zero matrix is a fixed point of every step.
         y = np.zeros((6, 20))
         mask = np.random.default_rng(29).random(y.shape) < 0.7
-        result = solve(y, mask, small_cfg((6, 5, 4)))
+        cfg = dataclasses.replace(small_cfg((6, 5, 4)), **MODELS[model])
+        result = impute(y, mask, cfg)
         assert np.array_equal(result.recovered, y)
         assert result.converged
         assert result.iterations == 1
@@ -230,28 +251,28 @@ class TestImputeLamc:
         profile = 2.0 + 0.5 * np.sin(2 * np.pi * np.arange(60) / 30)
         y = np.outer(rng.uniform(1, 2, size=15), profile)
         mask = rng.random(y.shape) < 0.7
-        cfg = small_cfg((15, 60, 1))
-        result = impute_lamc(y, mask, cfg)
+        result = impute(y, mask, lamc_cfg((15, 60, 1)))
         assert missing_relative_error(y, result, mask) < 1e-2
 
     def test_fully_observed_preserved(self):
         rng = np.random.default_rng(21)
         y = np.outer(rng.uniform(1, 2, size=6), rng.uniform(1, 2, size=24))
         mask = np.ones(y.shape, dtype=bool)
-        result = impute_lamc(y, mask, small_cfg((6, 24, 1)))
+        result = impute(y, mask, lamc_cfg((6, 24, 1)))
         assert np.array_equal(result.recovered, y)
 
     def test_m1_reduction_to_tensor_form(self):
-        # With one sensor and a (1, T, 1) layout, the mode-1 unfolding is
-        # the matrix itself; weights (1, 0, 0) make the tensor path run
-        # the same arithmetic as the matrix variant.
+        # With one sensor and a (1, T, 1) layout, the mode-3 unfolding
+        # holds the same T values as the (M, T) matrix, so thresholding
+        # only mode 3 runs the fold/unfold path on the arithmetic of the
+        # matrix model.
         rng = np.random.default_rng(22)
         t = 48
         y = np.sin(np.linspace(0.0, 6.0, t)).reshape(1, t) + 2.0
         mask = rng.random((1, t)) < 0.7
-        cfg_matrix = small_cfg((1, t, 1), r=0, lags=(1, 2))
-        cfg_tensor = dataclasses.replace(cfg_matrix, weights=(1.0, 0.0, 0.0))
-        a = impute_lamc(y, mask, cfg_matrix)
+        cfg_matrix = lamc_cfg((1, t, 1), r=0, lags=(1, 2))
+        cfg_tensor = dataclasses.replace(cfg_matrix, weights=(0.0, 0.0, 1.0))
+        a = impute(y, mask, cfg_matrix)
         b = impute(y, mask, cfg_tensor)
         assert np.allclose(a.recovered, b.recovered, atol=1e-6)
 
@@ -260,42 +281,39 @@ class TestImputeLamc:
         y = rng.normal(size=(4, 12))
         mask = np.ones(y.shape, dtype=bool)
         with pytest.raises(ValueError):
-            impute_lamc(y, mask, small_cfg((4, 4, 3), r=4))
+            impute(y, mask, lamc_cfg((4, 4, 3), r=4))
 
     def test_determinism(self):
         rng = np.random.default_rng(24)
         y = np.outer(rng.uniform(1, 2, size=8), rng.uniform(1, 2, size=30))
         mask = rng.random(y.shape) < 0.6
-        cfg = small_cfg((8, 30, 1))
-        assert np.array_equal(
-            impute_lamc(y, mask, cfg).recovered, impute_lamc(y, mask, cfg).recovered
-        )
+        cfg = lamc_cfg((8, 30, 1))
+        assert np.array_equal(impute(y, mask, cfg).recovered, impute(y, mask, cfg).recovered)
 
 
 class TestLrtcTnnMode:
     def test_rank1_recovery(self):
         y, mask = rank1_instance()
-        cfg = small_cfg((20, 16, 10), c=0.0)
-        result = lrtc_tnn_mode(y, mask, cfg)
+        result = impute(y, mask, tnn_cfg((20, 16, 10)))
         assert missing_relative_error(y, result, mask) < 1e-2
 
     def test_output_independent_of_lags_and_seed(self):
         y, mask = rank1_instance(m=8, i=6, j=5, seed=25)
-        base = lrtc_tnn_mode(y, mask, small_cfg((8, 6, 5), lags=(1, 2), seed=0))
+        base = impute(y, mask, tnn_cfg((8, 6, 5), lags=(1, 2), seed=0))
         for lags, seed in [((1,), 3), ((1, 2, 3), 99), ((2, 5), 7)]:
-            other = lrtc_tnn_mode(y, mask, small_cfg((8, 6, 5), lags=lags, seed=seed))
+            other = impute(y, mask, tnn_cfg((8, 6, 5), lags=lags, seed=seed))
             assert np.array_equal(base.recovered, other.recovered)
 
     def test_close_to_impute_with_tiny_lam(self):
         y, mask = rank1_instance(m=8, i=6, j=5, seed=26)
-        pure = lrtc_tnn_mode(y, mask, small_cfg((8, 6, 5)))
+        pure = impute(y, mask, tnn_cfg((8, 6, 5)))
         nearly = impute(y, mask, small_cfg((8, 6, 5), c=1e-8))
         gap = np.linalg.norm(pure.recovered - nearly.recovered)
         assert gap <= 1e-4 * np.linalg.norm(pure.recovered)
 
     def test_coefficients_are_zero(self):
         y, mask = rank1_instance(m=6, i=5, j=4, seed=27)
-        result = lrtc_tnn_mode(y, mask, small_cfg((6, 5, 4), lags=(1, 2, 3)))
+        result = impute(y, mask, tnn_cfg((6, 5, 4), lags=(1, 2, 3)))
         assert np.array_equal(result.coefficients, np.zeros((6, 3)))
 
 

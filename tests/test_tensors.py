@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from latc import (
-    detensorize,
     fold,
     frobenius_norm,
     project,
@@ -113,9 +112,9 @@ class TestTensorize:
     def test_roundtrip(self):
         rng = np.random.default_rng(5)
         y = rng.normal(size=(4, 18))
-        assert np.array_equal(detensorize(tensorize(y, 6, 3)), y)
+        assert np.array_equal(unfold(tensorize(y, 6, 3), 1), y)
         t = rng.normal(size=(4, 3, 6))
-        assert np.array_equal(tensorize(detensorize(t), 3, 6), t)
+        assert np.array_equal(tensorize(unfold(t, 1), 3, 6), t)
 
     def test_constant_rows_give_constant_slices(self):
         y = np.tile(np.array([[2.0], [5.0]]), (1, 12))
@@ -127,7 +126,7 @@ class TestTensorize:
         y = np.arange(24.0).reshape(2, 12)
         t = tensorize(y, 3, 4)
         assert np.shares_memory(t, y)
-        assert np.shares_memory(detensorize(t), y)
+        assert np.shares_memory(unfold(t, 1), y)
         t[1, 2, 3] = -1.0
         assert y[1, 3 * 3 + 2] == -1.0
 

@@ -448,8 +448,10 @@ def run_sweep(
 
     The data file is read once, and every cell's configuration is
     validated before the first cell runs.  Each cell writes its
-    artifacts to its own subdirectory of ``out_dir`` and one summary
-    record per cell goes to ``grid.txt``.
+    artifacts to its own subdirectory of ``out_dir``, named
+    ``cell_c{c:g}_r{r}``; a grid in which two cells share that name is
+    rejected before any cell runs.  One summary record per cell goes to
+    ``grid.txt``.
     """
     model = _normalize_model(model)
     values, base_mask = load_matrix(data_path)
@@ -469,11 +471,15 @@ def _sweep_loaded(
     """:func:`run_sweep` after the data file has been read."""
     out_dir = Path(out_dir)
     cells = [replace(cfg, c=float(c), r=int(r)) for c in c_values for r in r_values]
-    for cell_cfg in cells:
+    cell_dirs = [out_dir / f"cell_c{cell_cfg.c:g}_r{cell_cfg.r}" for cell_cfg in cells]
+    for cell_cfg, cell_dir in zip(cells, cell_dirs):
         replace(cell_cfg, **MODELS[model]).validate()
+        if cell_dirs.count(cell_dir) > 1:
+            raise ValueError(
+                f"more than one (c, r) cell maps to the directory {cell_dir.name}"
+            )
     records = []
-    for cell_cfg in cells:
-        cell_dir = out_dir / f"cell_c{cell_cfg.c:g}_r{cell_cfg.r}"
+    for cell_cfg, cell_dir in zip(cells, cell_dirs):
         report = _run_loaded(values, base_mask, spec, cell_cfg, model, cell_dir)
         records.append((cell_cfg.c, cell_cfg.r, report))
     out_dir.mkdir(parents=True, exist_ok=True)

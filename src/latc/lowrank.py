@@ -5,6 +5,23 @@ values beyond the ``r`` largest.  Its proximal step keeps the leading
 ``r`` singular values untouched and soft-thresholds the rest, which is
 the single matrix operation the completion solver applies to each
 unfolding of the iterate.
+
+:func:`svt` picks its route from the aspect ratio of the input.  A
+matrix with ``max(m, n) < 2 * min(m, n)`` takes an exact
+``numpy.linalg.svd``.  A wider or taller one, such as every unfolding
+of a traffic tensor, is thresholded through ``eigh`` of the Gram matrix
+of its short side, which is much cheaper.  The input is first scaled by
+the power of two that brings ``max|A|`` into ``[0.5, 1)``, so the
+squares neither overflow nor underflow at any finite data scale; the
+scaling is exact.  The Gram route agrees with the exact one within
+``1e-10 * ||A||_F`` in Frobenius norm on the test instances.
+
+:func:`truncated_nuclear_norm` keeps the exact SVD on every shape.
+Gram eigenvalues carry absolute noise of about ``eps * s_max**2``, so
+singular values near zero read about ``sqrt(eps) * s_max`` instead of
+zero.  :func:`svt` multiplies that noise by the input's tiny component
+along those directions, but a norm sums the values themselves: a
+rank-one tensor would read about ``1e-8`` instead of zero.
 """
 
 from __future__ import annotations
@@ -57,16 +74,47 @@ def svt(matrix: np.ndarray, r: int, tau: float) -> np.ndarray:
     values pass through unchanged and the remaining ones are
     soft-thresholded: ``s'[i] = max(s[i] - tau, 0)`` for ``i >= r``.
     This minimizes ``tau * ||X||_{r,*} + 0.5 * ||X - matrix||_F^2``.
-    Convergence failures inside LAPACK surface as
-    ``numpy.linalg.LinAlgError``.
+
+    When one side is at least twice the other, the result is computed
+    from ``eigh`` of the short side's Gram matrix of ``2**-k * matrix``
+    (``k`` from ``frexp(max|matrix|)``), as ``P @ matrix`` for a wide
+    matrix or ``matrix @ P`` for a tall one, with
+    ``P = U diag(f) U.T``, ``f[i] = 1`` for ``i < r`` and
+    ``f[i] = max(s[i] - tau, 0) / s[i]`` (0 where ``s[i] = 0``) for the
+    rest; ``s`` and ``tau`` are both taken at the ``2**-k`` scale.  It agrees with the exact SVD route within
+    ``1e-10 * ||matrix||_F`` in Frobenius norm on the test instances.
+    A nearer-square matrix takes the exact SVD.  Convergence failures
+    inside LAPACK surface as ``numpy.linalg.LinAlgError``.
     """
     a = _as_matrix(matrix)
-    _check_truncation(r, *a.shape)
+    m, n = a.shape
+    _check_truncation(r, m, n)
     if tau < 0:
         raise ValueError(f"threshold tau must be non-negative, got {tau}")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    s[r:] = np.maximum(s[r:] - tau, 0.0)
-    return (u * s) @ vh
+    if max(m, n) < 2 * min(m, n):
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        s[r:] = np.maximum(s[r:] - tau, 0.0)
+        return (u * s) @ vh
+    peak = np.max(np.abs(a))
+    if peak == 0.0:
+        return np.zeros_like(a)
+    k = int(np.frexp(peak)[1])
+    scaled = np.ldexp(a, -k)
+    wide = m < n
+    eig, u = np.linalg.eigh(scaled @ scaled.T if wide else scaled.T @ scaled)
+    del scaled  # a full copy of the input; free it before the product below
+    # eigh sorts ascending; reverse so index i holds the i-th largest value.
+    s, u = np.sqrt(np.maximum(eig[::-1], 0.0)), u[:, ::-1]
+    tail = s[r:]
+    f = np.ones_like(s)
+    f[r:] = np.divide(
+        np.maximum(tail - np.ldexp(tau, -k), 0.0),
+        tail,
+        out=np.zeros_like(tail),
+        where=tail > 0.0,
+    )
+    p = (u * f) @ u.T
+    return p @ a if wide else a @ p
 
 
 def tensor_tnn(

@@ -109,5 +109,18 @@ def project(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(array: np.ndarray) -> float:
-    """Frobenius norm of an array of any shape."""
-    return float(np.linalg.norm(np.asarray(array, dtype=float).ravel()))
+    """Frobenius norm of an array of any shape, safe at any finite scale.
+
+    This is ``numpy.linalg.norm`` of the flattened array, bit for bit,
+    unless its unscaled sum of squares underflows to 0 with a nonzero
+    entry or overflows with every entry finite.  Only then is the norm
+    taken of ``array / max|array|`` and scaled back.
+    """
+    x = np.asarray(array, dtype=float).ravel()
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if norm == 0.0 or norm == np.inf:
+        peak = float(np.max(np.abs(x), initial=0.0))
+        if 0.0 < peak < np.inf:
+            norm = peak * float(np.linalg.norm(x / peak))
+    return norm

@@ -1,4 +1,7 @@
-"""Dense reference forms of the AR machinery, for cross-checks only.
+"""Reference forms of library routines, for cross-checks only.
+
+``svt_exact`` is the thresholding step through a full SVD, the route
+the library takes for near-square matrices only.
 
 The AR residual of a series ``z`` is ``B @ z`` with
 ``B = selector(0) - sum_i a_i * selector(i)``.  The library never forms
@@ -8,6 +11,13 @@ and the penalty against an independent route.
 
 import numpy as np
 from scipy import linalg as sla
+
+
+def svt_exact(matrix, r, tau):
+    """``svt`` through ``numpy.linalg.svd``, on every shape."""
+    u, s, vh = np.linalg.svd(np.asarray(matrix, dtype=float), full_matrices=False)
+    s[r:] = np.maximum(s[r:] - tau, 0.0)
+    return (u * s) @ vh
 
 
 def selector(lag, i):

@@ -662,6 +662,23 @@ class TestCli:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "c_list, r_list", [("1,1", "1"), ("0.1234561,0.1234562", "1")]
+    )
+    def test_sweep_with_colliding_cells_writes_nothing(
+        self, tmp_path, capsys, c_list, r_list
+    ):
+        # Both grids name two cells cell_c1_r1 or cell_c0.123456_r1.
+        path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
+        out = tmp_path / "grid"
+        args = [
+            "sweep", "--data", str(path), "--I", "12", "--c", c_list, "--r", r_list,
+            "--lags", "1,2", "--out", str(out),
+        ]
+        assert main(args) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model, code", [("lamc", 0), ("latc", 1)])
     def test_r_bound_follows_model(self, tmp_path, capsys, model, code):
         # (8, 12, 4): LAMC thresholds only the 8 x 48 matrix, so r = 6 is

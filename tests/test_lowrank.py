@@ -12,8 +12,13 @@ find a strictly better point.
 
 import numpy as np
 import pytest
+from oracles import svt_exact
 
-from latc import svt, tensor_tnn, truncated_nuclear_norm, unfold
+import latc.solver as solver
+from latc import SolverConfig, svt, tensor_tnn, truncated_nuclear_norm, unfold, update_x
+
+# Contract of the Gram route: ||svt(A) - svt_exact(A)||_F <= SVT_EPS * ||A||_F.
+SVT_EPS = 1e-10
 
 
 def tnn_objective(x, z, r, tau):
@@ -158,6 +163,92 @@ class TestSvt:
             svt(np.zeros((3, 3)), 1, -0.5)
         with pytest.raises(ValueError):
             svt(np.array([[1.0, np.nan], [0.0, 1.0]]), 0, 1.0)
+
+
+def relative_gap(a, r, tau):
+    """``||svt - svt_exact||_F / ||a||_F``, taken at the scale of ``max|a|``."""
+    peak = np.max(np.abs(a))
+    gap = (svt(a, r, tau) - svt_exact(a, r, tau)) / peak
+    return np.linalg.norm(gap) / np.linalg.norm(a / peak)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Record the shape of every ``numpy.linalg.eigh`` input."""
+    calls = []
+    real = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+class TestSvtGramRoute:
+    """Matrices with one side at least twice the other go through eigh."""
+
+    @pytest.mark.parametrize("shape", [(12, 60), (60, 12)])
+    @pytest.mark.parametrize(
+        "r, tau", [(0, 0.0), (0, 0.5), (3, 2.0), (5, 8.0), (11, 0.0), (11, 3.0)]
+    )
+    def test_wide_and_tall(self, shape, r, tau, eigh_calls):
+        a = np.random.default_rng(30).normal(size=shape)
+        assert relative_gap(a, r, tau) <= SVT_EPS
+        assert eigh_calls == [(12, 12)]
+
+    @pytest.mark.parametrize("shape", [(10, 40), (40, 10)])
+    @pytest.mark.parametrize("r, tau", [(0, 0.0), (1, 1e-3), (2, 1.0), (9, 0.5)])
+    def test_rank_deficient(self, shape, r, tau):
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(shape[0], 3)) @ rng.normal(size=(3, shape[1]))
+        assert relative_gap(a, r, tau) <= SVT_EPS
+
+    @pytest.mark.parametrize("shape", [(5, 20), (20, 5)])
+    def test_zero_matrix(self, shape):
+        out = svt(np.zeros(shape), 1, 0.5)
+        assert np.array_equal(out, np.zeros(shape))
+        assert np.array_equal(out, svt_exact(np.zeros(shape), 1, 0.5))
+
+    def test_aspect_two_takes_gram(self, eigh_calls):
+        a = np.random.default_rng(33).normal(size=(50, 100))
+        assert relative_gap(a, 4, 1.5) <= SVT_EPS
+        assert eigh_calls == [(50, 50)]
+
+    @pytest.mark.parametrize("shape", [(100, 199), (199, 100), (5, 5)])
+    def test_aspect_below_two_is_exact(self, shape, eigh_calls):
+        a = np.random.default_rng(34).normal(size=shape)
+        assert np.array_equal(svt(a, 4, 1.5), svt_exact(a, 4, 1.5))
+        assert eigh_calls == []
+
+    @pytest.mark.parametrize("shape", [(6, 48), (48, 6)])
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_data_scales(self, shape, scale):
+        # The input is scaled by a power of two before it is squared, so
+        # neither underflow nor overflow reaches the Gram matrix.
+        a = scale * np.random.default_rng(35).normal(size=shape)
+        for r, tau in [(0, 0.5), (2, 2.0), (5, 0.0)]:
+            assert relative_gap(a, r, scale * tau) <= SVT_EPS
+
+    def test_update_x_gz_shape(self, monkeypatch):
+        # A (214, 144, 61) tensor: unfoldings of (214, 8784), (144, 13054)
+        # and (61, 30816), all on the Gram route.  Level, daily profile,
+        # sensor loadings and noise at traffic-speed magnitudes; rho is
+        # the solver's default starting penalty.
+        rho = 1e-4
+        rng = np.random.default_rng(36)
+        dims = (214, 144, 61)
+        profile = np.sin(2 * np.pi * np.arange(144) / 144)
+        loading, day = rng.normal(size=214), rng.normal(1.0, 0.1, size=61)
+        t = 60.0 + 10.0 * np.einsum("a,b,c->abc", loading, profile, day)
+        t += rng.normal(size=dims)
+        w = unfold(t, 1)
+        cfg = SolverConfig(dims=dims, r=30)
+        gram = update_x(w, cfg, rho)
+        monkeypatch.setattr(solver, "svt", svt_exact)
+        exact = update_x(w, cfg, rho)
+        assert np.linalg.norm(gram - exact) <= SVT_EPS * np.linalg.norm(w)
 
 
 class TestTensorTnn:

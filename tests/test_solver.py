@@ -238,6 +238,24 @@ class TestImpute:
         assert result.converged
         assert result.iterations == 1
 
+    def test_tiny_scale_measures_change(self):
+        # At 1e-200 every square underflows; the norms must not read 0
+        # and stop the run at its first outer iteration.
+        y, mask = rank1_instance(m=6, i=12, j=4, seed=3)
+        result = impute(1e-200 * y, mask, small_cfg((6, 12, 4), max_outer_iters=30))
+        assert 0.0 < result.history[0].change < np.inf
+        assert result.iterations > 1
+
+    def test_huge_scale_stays_finite(self):
+        # At 1e200 every square overflows: the Gram route of svt and the
+        # history norms must stay finite anyway.
+        y, mask = rank1_instance(m=6, i=12, j=4, seed=3)
+        result = impute(1e200 * y, mask, small_cfg((6, 12, 4), max_outer_iters=30))
+        assert np.all(np.isfinite(result.recovered))
+        for record in result.history:
+            assert np.isfinite(record.change)
+            assert np.isfinite(record.primal_residual)
+
     def test_non_finite_data_rejected(self):
         y, mask = rank1_instance(m=6, i=5, j=4, seed=19)
         y[0, 0] = np.nan

@@ -171,3 +171,20 @@ class TestNorms:
 
     def test_zero(self):
         assert frobenius_norm(np.zeros((2, 2, 2))) == 0.0
+
+    def test_ordinary_scale_is_numpy_norm_bit_for_bit(self):
+        t = np.random.default_rng(11).normal(size=(3, 4, 5))
+        assert frobenius_norm(t) == float(np.linalg.norm(t.ravel()))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scales_rescale(self, scale):
+        # Squares of 1e-200 underflow and squares of 1e200 overflow; the
+        # norm must still be the scale times the norm at scale 1.
+        t = np.random.default_rng(12).normal(size=(3, 4, 5))
+        assert frobenius_norm(scale * t) == pytest.approx(
+            scale * frobenius_norm(t), rel=1e-14, abs=0.0
+        )
+
+    def test_non_finite_entries_pass_through(self):
+        assert frobenius_norm(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(frobenius_norm(np.array([1e200, np.nan])))

@@ -42,7 +42,6 @@ from .tensors import (
     fold,
     frobenius_norm,
     project,
-    tensorize,
     unfold,
 )
 
@@ -78,6 +77,5 @@ __all__ = [
     "fold",
     "frobenius_norm",
     "project",
-    "tensorize",
     "unfold",
 ]

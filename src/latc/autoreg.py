@@ -13,6 +13,8 @@ into the SPD linear system ``(B.T @ B + alpha * I) z = alpha * x``.
 in banded storage and solved with a banded Cholesky factorization.
 :func:`solve_z_matrix` solves it for every row of an ``(M, T)`` matrix
 of series, one ``(h_d + 1, T)`` band per row.
+:func:`update_coefficients` refits the coefficients of every row by
+minimum-norm least squares with the fixed cutoff ``LSTSQ_RCOND``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
+
+# Relative cutoff below which a singular value of the lagged regressors
+# counts as zero in the coefficient refit.
+LSTSQ_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -140,15 +146,13 @@ def solve_z_matrix(
     return Z
 
 
-def update_coefficients(
-    Z: np.ndarray, lag: LagStructure, rcond: float = 1e-10
-) -> np.ndarray:
+def update_coefficients(Z: np.ndarray, lag: LagStructure) -> np.ndarray:
     """Least-squares AR coefficients for every series.
 
     Each row solves ``min_a || V_m a - z_m[max_lag:] ||`` where column
     ``i`` of ``V_m`` holds the series lagged by ``lags[i]``.  The
     minimum-norm solution is taken, with singular values below
-    ``rcond`` times the largest treated as zero, so rank-deficient
+    ``LSTSQ_RCOND`` times the largest treated as zero, so rank-deficient
     regressors (constant or all-zero series) are well-defined.
     """
     Z = _check_series_matrix(Z, lag)
@@ -156,5 +160,5 @@ def update_coefficients(
     A = np.zeros((Z.shape[0], lag.order))
     for m in range(Z.shape[0]):
         V = np.column_stack([Z[m, h - hi : T - hi] for hi in lag.lags])
-        A[m] = np.linalg.lstsq(V, Z[m, h:], rcond=rcond)[0]
+        A[m] = np.linalg.lstsq(V, Z[m, h:], rcond=LSTSQ_RCOND)[0]
     return A

@@ -2,7 +2,8 @@
 
 Data files are CSV (rows = sensors, columns = time steps; empty cells
 or ``nan`` tokens mark missing values) or ``.npy`` arrays with NaN for
-missing.  Three masking patterns hide observed entries for evaluation:
+missing; the suffix alone picks the format.  Three masking patterns
+hide observed entries for evaluation:
 
 ``rm``
     random missing: every observed entry is hidden independently.
@@ -16,18 +17,21 @@ Imputation quality is scored on the hidden-but-known entries with MAPE
 (entries with ``|truth| <= 1e-6`` excluded and counted) and RMSE (all
 hidden entries).
 
-:data:`MODELS` is the only table of model names.  Each row holds the
-``SolverConfig`` fields the model replaces before calling
-:func:`~latc.solver.impute`: LAMC thresholds only the ``(M, T)``
-matrix, and LRTC-TNN drops the AR term.  All CSV files, data and masks,
-are read by one row-by-row parser and written by one row-by-row writer.
+:data:`MODELS` is the only table of model names, and its keys are the
+only accepted spellings.  Each row holds the ``SolverConfig`` fields the
+model replaces before calling :func:`~latc.solver.impute`: LAMC
+thresholds only the ``(M, T)`` matrix, and LRTC-TNN drops the AR term.
+All CSV files, data and masks, are read by one row-by-row parser and
+written by one row-by-row writer.  Every ``key = value`` record, in the
+text artifacts and on the command line's standard output, is formatted
+by one function.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,38 +96,42 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _format_record(record) -> str:
+    """One ``key = value ...`` line for a sequence of ``(key, value)`` pairs."""
+    return " ".join(f"{k} = {_format_value(v)}" for k, v in record)
+
+
 def _write_records(path: Path, records) -> None:
-    """One ``key = value ...`` line per record."""
-    lines = []
-    for record in records:
-        lines.append(" ".join(f"{k} = {_format_value(v)}" for k, v in record))
-    path.write_text("\n".join(lines) + "\n")
+    """One :func:`_format_record` line per record."""
+    path.write_text("\n".join(_format_record(record) for record in records) + "\n")
 
 
-def load_matrix(path, fmt: str | None = None):
+def _cell_record(c: float, r: int, report: EvalReport) -> list:
+    """The summary of one (c, r) grid cell."""
+    return [("c", c), ("r", r), ("mape", report.mape), ("rmse", report.rmse)]
+
+
+def _fields_record(obj) -> list:
+    """The fields of a dataclass instance as ``(key, value)`` pairs, in order."""
+    return [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+
+
+def load_matrix(path):
     """Read a data file into ``(values, mask)``.
 
-    Missing cells come back as ``0.0`` with ``mask`` false.  ``fmt`` is
-    ``"csv"`` or ``"binary"``; when omitted it is inferred from the
-    suffix (``.csv`` / ``.npy``).
+    The suffix picks the format: ``.csv`` or ``.npy``.  Missing cells
+    come back as ``0.0`` with ``mask`` false.
     """
     path = Path(path)
-    if fmt is None:
-        suffix = path.suffix.lower()
-        if suffix == ".csv":
-            fmt = "csv"
-        elif suffix == ".npy":
-            fmt = "binary"
-        else:
-            raise DataError(f"cannot infer format from suffix {suffix!r} of {path}")
-    if fmt == "csv":
-        values = _read_csv(path, _data_cell, float)
-        mask = ~np.isnan(values)
-        values[~mask] = 0.0
-        return values, mask
-    if fmt == "binary":
+    suffix = path.suffix.lower()
+    if suffix == ".npy":
         return _load_binary(path)
-    raise DataError(f"unknown format {fmt!r}")
+    if suffix != ".csv":
+        raise DataError(f"cannot infer format from suffix {suffix!r} of {path}")
+    values = _read_csv(path, _data_cell, float)
+    mask = ~np.isnan(values)
+    values[~mask] = 0.0
+    return values, mask
 
 
 def _read_csv(path: Path, cell, dtype) -> np.ndarray:
@@ -269,16 +277,11 @@ def generate_mask(
     return base & ~hide
 
 
-def evaluate(
-    truth: np.ndarray,
-    imputed: np.ndarray,
-    eval_mask: np.ndarray,
-    zero_tol: float = ZERO_TOLERANCE,
-) -> EvalReport:
+def evaluate(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> EvalReport:
     """Score ``imputed`` against ``truth`` on the entries of ``eval_mask``.
 
     RMSE covers every selected entry.  MAPE skips entries with
-    ``|truth| <= zero_tol`` and reports how many were skipped; if every
+    ``|truth| <= ZERO_TOLERANCE`` and reports how many were skipped; if every
     selected entry is skipped the MAPE is 0 by convention.
     """
     truth = np.asarray(truth, dtype=float)
@@ -295,7 +298,7 @@ def evaluate(
     t = truth[eval_mask]
     p = imputed[eval_mask]
     rmse = float(np.sqrt(np.mean((t - p) ** 2)))
-    nonzero = np.abs(t) > zero_tol
+    nonzero = np.abs(t) > ZERO_TOLERANCE
     excluded = n_eval - int(nonzero.sum())
     if nonzero.any():
         mape = float(np.mean(np.abs(t[nonzero] - p[nonzero]) / np.abs(t[nonzero])) * 100.0)
@@ -304,11 +307,9 @@ def evaluate(
     return EvalReport(mape=mape, rmse=rmse, n_eval=n_eval, excluded_zero=excluded)
 
 
-def _normalize_model(model: str) -> str:
-    name = model.strip().lower().replace("_", "-")
-    if name not in MODELS:
+def _check_model(model: str) -> None:
+    if model not in MODELS:
         raise ValueError(f"model must be one of {tuple(MODELS)}, got {model!r}")
-    return name
 
 
 def run_experiment(
@@ -332,7 +333,7 @@ def run_experiment(
     fails part-way.  Outputs are byte-identical across repeated runs
     with the same inputs and seeds.
     """
-    model = _normalize_model(model)
+    _check_model(model)
     values, base_mask = load_matrix(data_path)
     return _run_loaded(values, base_mask, spec, cfg, model, out_dir)
 
@@ -346,11 +347,6 @@ def _run_loaded(
     out_dir,
 ) -> EvalReport:
     """:func:`run_experiment` after the data file has been read."""
-    m, i, j = cfg.dims
-    if values.shape != (m, i * j):
-        raise ValueError(
-            f"data shape {values.shape} does not match dims {cfg.dims}"
-        )
     observed = generate_mask(base_mask, cfg.dims, spec)
     eval_mask = base_mask & ~observed
     if not eval_mask.any():
@@ -393,42 +389,16 @@ def _write_artifacts(
             ("c", cfg.c),
             ("r", cfg.r),
             ("solver_seed", cfg.seed),
-            ("mape", report.mape),
-            ("rmse", report.rmse),
-            ("n_eval", report.n_eval),
-            ("excluded_zero", report.excluded_zero),
+            *_fields_record(report),
             ("iterations", result.iterations),
             ("converged", result.converged),
         ]
         written.append(out_dir / _METRICS_FILE)
         _write_records(out_dir / _METRICS_FILE, [[item] for item in metrics])
         written.append(out_dir / _HISTORY_FILE)
-        _write_records(
-            out_dir / _HISTORY_FILE,
-            [
-                [
-                    ("outer", rec.outer),
-                    ("change", rec.change),
-                    ("primal_residual", rec.primal_residual),
-                    ("rho", rec.rho),
-                    ("low_rank_term", rec.low_rank_term),
-                    ("ar_term", rec.ar_term),
-                ]
-                for rec in result.history
-            ],
-        )
+        _write_records(out_dir / _HISTORY_FILE, [_fields_record(rec) for rec in result.history])
         written.append(out_dir / _CELL_FILE)
-        _write_records(
-            out_dir / _CELL_FILE,
-            [
-                [
-                    ("c", cfg.c),
-                    ("r", cfg.r),
-                    ("mape", report.mape),
-                    ("rmse", report.rmse),
-                ]
-            ],
-        )
+        _write_records(out_dir / _CELL_FILE, [_cell_record(cfg.c, cfg.r, report)])
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -453,7 +423,7 @@ def run_sweep(
     rejected before any cell runs.  One summary record per cell goes to
     ``grid.txt``.
     """
-    model = _normalize_model(model)
+    _check_model(model)
     values, base_mask = load_matrix(data_path)
     return _sweep_loaded(values, base_mask, spec, cfg, model, c_values, r_values, out_dir)
 
@@ -483,11 +453,5 @@ def _sweep_loaded(
         report = _run_loaded(values, base_mask, spec, cell_cfg, model, cell_dir)
         records.append((cell_cfg.c, cell_cfg.r, report))
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_records(
-        out_dir / _GRID_FILE,
-        [
-            [("c", c), ("r", r), ("mape", rep.mape), ("rmse", rep.rmse)]
-            for c, r, rep in records
-        ],
-    )
+    _write_records(out_dir / _GRID_FILE, [_cell_record(*record) for record in records])
     return records

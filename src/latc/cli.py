@@ -24,15 +24,11 @@ EXIT_DATA = 2
 EXIT_SOLVER = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """Argparse subclass that raises instead of calling sys.exit."""
+    """Argparse subclass that raises ``ValueError`` instead of calling sys.exit."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def parse_lags(text: str) -> tuple[int, ...]:
@@ -45,9 +41,9 @@ def parse_lags(text: str) -> tuple[int, ...]:
         else:
             lags = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise _UsageError(f"cannot parse lags {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse lags {text!r}: {exc}") from exc
     if not lags:
-        raise _UsageError(f"lag list {text!r} is empty")
+        raise ValueError(f"lag list {text!r} is empty")
     return lags
 
 
@@ -55,9 +51,9 @@ def _parse_list(text: str, kind, what: str):
     try:
         values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise _UsageError(f"cannot parse {what} list {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse {what} list {text!r}: {exc}") from exc
     if not values:
-        raise _UsageError(f"{what} list {text!r} is empty")
+        raise ValueError(f"{what} list {text!r} is empty")
     return values
 
 
@@ -117,7 +113,7 @@ def _resolve_dims(args, values: np.ndarray) -> tuple[int, int, int]:
     m, t = values.shape
     periods = args.periods
     if periods <= 0:
-        raise _UsageError(f"--I must be positive, got {periods}")
+        raise ValueError(f"--I must be positive, got {periods}")
     if args.blocks is None:
         if t % periods != 0:
             raise DataError(
@@ -151,10 +147,8 @@ def _mask_spec(args) -> MaskSpec:
 
 
 def _print_report(report: bench.EvalReport) -> None:
-    print(f"mape = {report.mape:.12g}")
-    print(f"rmse = {report.rmse:.12g}")
-    print(f"n_eval = {report.n_eval}")
-    print(f"excluded_zero = {report.excluded_zero}")
+    for item in bench._fields_record(report):
+        print(bench._format_record([item]))
 
 
 def _cmd_impute(args) -> int:
@@ -169,7 +163,7 @@ def _cmd_impute(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.out is None:
-        raise _UsageError("sweep requires --out for the grid artifacts")
+        raise ValueError("sweep requires --out for the grid artifacts")
     values, base_mask = bench.load_matrix(args.data)
     dims = _resolve_dims(args, values)
     c_values = _parse_list(args.c_list, float, "c")
@@ -179,11 +173,8 @@ def _cmd_sweep(args) -> int:
         values, base_mask, _mask_spec(args), cfg, args.model, c_values, r_values,
         args.out,
     )
-    for c, r, report in records:
-        print(
-            f"c = {c:.12g} r = {r} mape = {report.mape:.12g} "
-            f"rmse = {report.rmse:.12g}"
-        )
+    for record in records:
+        print(bench._format_record(bench._cell_record(*record)))
     return EXIT_OK
 
 
@@ -197,23 +188,12 @@ def _cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help exits through argparse
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

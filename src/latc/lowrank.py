@@ -51,8 +51,10 @@ def _check_truncation(r: int, m: int, n: int) -> None:
 
 def _check_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
-    if w.shape != (3,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights must be 3 non-negative values summing to 1, got {weights}")
+    if w.shape != (3,) or not np.all(np.isfinite(w) & (w >= 0)) or abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError(
+            f"weights must be 3 finite non-negative values summing to 1, got {weights}"
+        )
     return w
 
 

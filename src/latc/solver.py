@@ -4,7 +4,7 @@ The completion problem couples a low-rank tensor variable with a time
 series matrix:
 
     minimize  ||X||_{r,*} + (lam / 2) * ||Z||_AR
-    subject to  X = tensorize(Z),  Z agrees with Y on observed entries
+    subject to  X = fold(Z, 1, dims),  Z agrees with Y on observed entries
 
 and is solved by alternating ADMM steps on (X, Z, dual) with the AR
 coefficients refit by least squares after every block of inner
@@ -12,14 +12,15 @@ iterations.  ``lam`` is tied to the ADMM penalty as ``lam = c * rho``,
 so the ratio ``rho / lam = 1 / c`` entering the Z step stays constant
 while ``rho`` grows geometrically.
 
-All three iterates are ``(M, T)`` matrices.  The mode-1 unfolding of
-``tensorize(Z)`` is ``Z`` itself and ``tensorize`` is a copy-free view,
+All three iterates are ``(M, T)`` matrices.  ``Z`` is the mode-1
+unfolding of the tensor ``fold(Z, 1, dims)``, which is a copy-free view,
 so the loop never converts between the two layouts.
 :meth:`SolverConfig.validate` checks the lags with
 :func:`~latc.autoreg.build_lag_structure` against ``T = I * J``, also
-when ``c = 0``, the weights with the rule :func:`tensor_tnn` uses, and
-``r`` with the truncation rule of :func:`~latc.lowrank.svt` against
-every unfolding with nonzero weight.
+when ``c = 0``, the weights with the rule :func:`tensor_tnn` uses,
+``c``, ``rho0`` and ``tol`` for being finite, and ``r`` with the
+truncation rule of :func:`~latc.lowrank.svt` against every unfolding
+with nonzero weight.
 
 :func:`impute` is the only entry point.  Both baselines are parameter
 settings of it: ``c = 0`` removes the AR term and runs plain
@@ -30,6 +31,7 @@ the matrix model (LAMC).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,7 +44,7 @@ from .autoreg import (
     update_coefficients,
 )
 from .lowrank import _check_truncation, _check_weights, svt, tensor_tnn
-from .tensors import fold, frobenius_norm, project, tensorize, unfold
+from .tensors import MODES, fold, frobenius_norm, project, unfold
 
 DEFAULT_LAGS = (1, 2, 3, 4, 5, 6)
 RHO_GROWTH = 1.05
@@ -77,10 +79,10 @@ class SolverConfig:
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise ValueError(f"dims must be three positive integers, got {self.dims}")
-        if not self.rho0 > 0:
-            raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        if self.c < 0:
-            raise ValueError(f"c must be non-negative, got {self.c}")
+        if not 0 < self.rho0 < math.inf:
+            raise ValueError(f"rho0 must be positive and finite, got {self.rho0}")
+        if not 0 <= self.c < math.inf:
+            raise ValueError(f"c must be non-negative and finite, got {self.c}")
         build_lag_structure(self.lags, dims[1] * dims[2])
         weights = _check_weights(self.weights)
         # The mode-p unfolding has dims[p] rows and the other two sides as columns.
@@ -92,8 +94,8 @@ class SolverConfig:
             raise ValueError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if self.max_outer_iters < 1:
             raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -141,26 +143,25 @@ def update_x(W: np.ndarray, cfg: SolverConfig, rho: float) -> np.ndarray:
 
     ``W = Z - dual / rho`` is an ``(M, T)`` matrix and so is the result.
     Each mode ``p`` applies :func:`svt` with threshold ``weights[p]/rho``
-    to the mode-``p`` unfolding of ``tensorize(W)`` and the folded
-    results are combined with the same weights.  The mode-1 unfolding
-    is ``W`` itself.  Modes with zero weight are skipped, so ``r`` is
-    only bounded by the unfoldings that are thresholded.
+    to the mode-``p`` unfolding of ``fold(W, 1, dims)`` and the folded
+    results are combined with the same weights.  For a C-contiguous
+    ``W`` the mode-1 unfolding of that view is a view of ``W`` itself.
+    Modes with zero weight are skipped, so ``r`` is only bounded by the
+    unfoldings that are thresholded.
     """
     W = np.asarray(W, dtype=float)
-    _, periods, blocks = cfg.dims
     out = np.zeros(W.shape)
     # Views: adding into out_tensor fills out.
-    w_tensor, out_tensor = tensorize(W, periods, blocks), tensorize(out, periods, blocks)
-    for mode, weight in zip((1, 2, 3), cfg.weights):
+    w_tensor, out_tensor = fold(W, 1, cfg.dims), fold(out, 1, cfg.dims)
+    for mode, weight in zip(MODES, cfg.weights):
         if weight == 0.0:
             continue
-        if mode == 1:
-            out += weight * svt(W, cfg.r, weight / rho)
-        else:
-            # Unnamed, so the result is freed before the next mode's SVD.
-            out_tensor += weight * fold(
-                svt(unfold(w_tensor, mode), cfg.r, weight / rho), mode, cfg.dims
-            )
+        # Scaled before it is folded: numpy scales an unnamed array that owns
+        # its data in place, but not a view.  Unnamed, so the result is freed
+        # before the next mode's SVD.
+        out_tensor += fold(
+            weight * svt(unfold(w_tensor, mode), cfg.r, weight / rho), mode, cfg.dims
+        )
     return out
 
 
@@ -244,7 +245,7 @@ def impute(
                 change=change,
                 primal_residual=float(residuals.mean()),
                 rho=rho,
-                low_rank_term=tensor_tnn(tensorize(x, i_dim, j_dim), cfg.r, cfg.weights),
+                low_rank_term=tensor_tnn(fold(x, 1, cfg.dims), cfg.r, cfg.weights),
                 ar_term=0.5 * lam * temporal_variation(Z, coeffs, lag) if use_ar else 0.0,
             )
         )

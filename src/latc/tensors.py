@@ -2,10 +2,10 @@
 
 A data matrix ``Y`` of shape ``(M, T)`` holds ``M`` sensor series of
 length ``T``.  When ``T = I * J`` (``I`` steps per day, ``J`` days) the
-matrix can be rearranged into a tensor of shape ``(M, I, J)`` whose
-frontal slice ``j`` holds day ``j``: ``tensorize(Y, I, J)[m, i, j] ==
+matrix is the mode-1 unfolding of a tensor of shape ``(M, I, J)`` whose
+frontal slice ``j`` holds day ``j``: ``fold(Y, 1, (M, I, J))[m, i, j] ==
 Y[m, j * I + i]``.  Columns of ``Y`` are therefore grouped day by day,
-and ``tensorize`` coincides with the mode-1 ``fold``.
+and that tensor is a view of ``Y``.
 
 Unfoldings follow the convention where row ``k`` of the mode-``k``
 unfolding indexes the chosen mode and the remaining axes are flattened
@@ -59,8 +59,8 @@ def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
 def fold(matrix: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the tensor of shape ``dims``.
 
-    The result is a view of ``matrix`` when it is C-contiguous, and
-    otherwise takes one copy.
+    Only the column axis is split, which any strides allow, so the
+    result is a view of ``matrix`` whenever that is a float array.
     """
     _check_mode(mode)
     dims = tuple(int(d) for d in dims)
@@ -76,27 +76,6 @@ def fold(matrix: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarra
         )
     t = mat.reshape(dims[mode - 1], rest[1], rest[0]).transpose(0, 2, 1)
     return np.moveaxis(t, 0, mode - 1)
-
-
-def tensorize(matrix: np.ndarray, periods: int, blocks: int) -> np.ndarray:
-    """Rearrange an ``(M, periods * blocks)`` matrix into ``(M, periods, blocks)``.
-
-    Column ``j * periods + i`` of the matrix becomes entry ``[:, i, j]``
-    of the tensor, so each frontal slice holds one block (day) of
-    ``periods`` consecutive time steps.  This is exactly the mode-1
-    :func:`fold`, so ``unfold(tensor, 1)`` is its inverse.  For a
-    C-contiguous matrix the tensor is a view, and writing to it writes
-    to the matrix.
-    """
-    mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {mat.shape}")
-    m, t = mat.shape
-    if periods <= 0 or blocks <= 0 or t != periods * blocks:
-        raise ValueError(
-            f"matrix has {t} columns, cannot split into {periods} x {blocks}"
-        )
-    return mat.reshape(m, blocks, periods).transpose(0, 2, 1)
 
 
 def project(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -123,13 +123,6 @@ class TestLoadMatrix:
         with pytest.raises(DataError, match="suffix"):
             load_matrix(path)
 
-    def test_explicit_format_overrides_suffix(self, tmp_path):
-        path = tmp_path / "a.txt"
-        path.write_text("1,2\n")
-        values, mask = load_matrix(path, fmt="csv")
-        assert np.array_equal(values, [[1.0, 2.0]])
-        assert mask.all()
-
     def test_binary_round_trip(self, tmp_path):
         arr = np.array([[1.0, np.nan], [3.0, 4.0]])
         path = tmp_path / "a.npy"
@@ -411,19 +404,19 @@ class TestRunExperiment:
         tnn = run_experiment(path, spec, experiment_cfg((8, 12, 4)), model="lrtc-tnn")
         assert plain == tnn
 
-    def test_model_name_accepts_underscores(self, tmp_path):
-        path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
-        spec = MaskSpec("rm", rate=0.3, seed=0)
-        cfg = experiment_cfg((8, 12, 4))
-        assert run_experiment(path, spec, cfg, model="lrtc_tnn") == run_experiment(
-            path, spec, cfg, model="lrtc-tnn"
-        )
-
     def test_unknown_model_rejected(self, tmp_path):
         path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
         with pytest.raises(ValueError, match="model"):
             run_experiment(
                 path, MaskSpec("rm"), experiment_cfg((8, 12, 4)), model="btmf"
+            )
+
+    @pytest.mark.parametrize("model", ["LAMC", "lrtc_tnn", " latc"])
+    def test_model_names_are_exact(self, tmp_path, model):
+        path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
+        with pytest.raises(ValueError, match="model"):
+            run_experiment(
+                path, MaskSpec("rm"), experiment_cfg((8, 12, 4)), model=model
             )
 
     def test_dims_must_match_data(self, tmp_path):
@@ -602,6 +595,14 @@ class TestCli:
         path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
         assert main(self.impute_args(path, model="btmf")) == 1
 
+    @pytest.mark.parametrize("option", ["c", "rho"])
+    def test_nan_config_is_usage_error(self, tmp_path, capsys, option):
+        path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
+        out = tmp_path / "out"
+        assert main(self.impute_args(path, out=out, **{option: "nan"})) == 1
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_file_is_data_error(self, tmp_path, capsys):
         assert main(self.impute_args(tmp_path / "nope.csv")) == 2
         assert "data error" in capsys.readouterr().err
@@ -647,11 +648,14 @@ class TestCli:
         assert (out / "grid.txt").exists()
         assert len(capsys.readouterr().out.splitlines()) == 4
 
-    @pytest.mark.parametrize("c_list, r_list", [("1,10", "1,9"), ("1,-1", "1")])
+    @pytest.mark.parametrize(
+        "c_list, r_list", [("1,10", "1,9"), ("1,-1", "1"), ("1,inf", "1")]
+    )
     def test_sweep_with_invalid_later_cell_writes_nothing(
         self, tmp_path, capsys, c_list, r_list
     ):
-        # (8, 12, 4): r = 9 is not below min(4, 96), and c = -1 is negative.
+        # (8, 12, 4): r = 9 is not below min(4, 96), c = -1 is negative
+        # and c = inf is not finite.
         path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
         out = tmp_path / "grid"
         args = [

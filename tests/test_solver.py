@@ -17,7 +17,6 @@ from latc import (
     fold,
     impute,
     svt,
-    tensorize,
     unfold,
     update_x,
 )
@@ -72,7 +71,7 @@ class TestUpdateX:
         z = rng.normal(size=(3, 20))
         dual = rng.normal(size=(3, 20))
         rho = 0.7
-        w = tensorize(z - dual / rho, 4, 5)
+        w = fold(z - dual / rho, 1, (3, 4, 5))
         expected = np.zeros((3, 4, 5))
         for mode, weight in zip((1, 2, 3), cfg.weights):
             expected += weight * fold(
@@ -80,6 +79,14 @@ class TestUpdateX:
             )
         out = update_x(z - dual / rho, cfg, rho)
         assert np.allclose(out, unfold(expected, 1), atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(6, 4, 5), (6, 3, 3)])
+    def test_matrix_weights_are_one_svt_bit_for_bit(self, dims):
+        # (6, 20) takes the Gram route of svt and (6, 9) the exact SVD.
+        rng = np.random.default_rng(1)
+        w = rng.normal(size=(dims[0], dims[1] * dims[2]))
+        cfg = SolverConfig(dims=dims, r=2, weights=(1.0, 0.0, 0.0))
+        assert np.array_equal(update_x(w, cfg, 0.7), svt(w, 2, 1 / 0.7))
 
     def test_zero_inputs(self):
         cfg = SolverConfig(dims=(2, 3, 4), r=1)
@@ -198,6 +205,14 @@ class TestImpute:
             dict(inner_iters=0),
             dict(tol=0.0),
             dict(lags=(2, 1)),
+            dict(c=np.inf),
+            dict(c=np.nan),
+            dict(rho0=np.inf),
+            dict(rho0=np.nan),
+            dict(tol=np.inf),
+            dict(tol=np.nan),
+            dict(weights=(np.nan, 0.0, 1.0)),
+            dict(weights=(np.inf, 0.0, 1.0)),
         ):
             with pytest.raises(ValueError):
                 impute(y, mask, small_cfg((6, 5, 4), **bad))

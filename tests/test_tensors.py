@@ -13,7 +13,6 @@ from latc import (
     fold,
     frobenius_norm,
     project,
-    tensorize,
     unfold,
 )
 
@@ -88,43 +87,50 @@ class TestFold:
 
 
 class TestTensorize:
+    """The day layout: the mode-1 fold of an ``(M, I * J)`` series matrix."""
+
     def test_day_blocks(self):
         # One sensor, two steps per day, two days: first block is day one.
         y = np.array([[1.0, 2.0, 3.0, 4.0]])
-        t = tensorize(y, 2, 2)
+        t = fold(y, 1, (1, 2, 2))
         assert np.array_equal(t[0, :, 0], [1.0, 2.0])
         assert np.array_equal(t[0, :, 1], [3.0, 4.0])
 
     def test_index_map(self):
         rng = np.random.default_rng(3)
         y = rng.normal(size=(3, 20))
-        t = tensorize(y, 4, 5)
+        t = fold(y, 1, (3, 4, 5))
         for m in range(3):
             for i in range(4):
                 for j in range(5):
                     assert t[m, i, j] == y[m, j * 4 + i]
 
     def test_matches_mode1_fold(self):
+        # fold only splits the column axis, so a matrix in any memory
+        # order gives the same tensor, as a view.
         rng = np.random.default_rng(4)
         y = rng.normal(size=(2, 12))
-        assert np.array_equal(tensorize(y, 3, 4), fold(y, 1, (2, 3, 4)))
+        y_fortran = np.asfortranarray(y)
+        t = fold(y_fortran, 1, (2, 3, 4))
+        assert np.shares_memory(t, y_fortran)
+        assert np.array_equal(t, fold(y, 1, (2, 3, 4)))
 
     def test_roundtrip(self):
         rng = np.random.default_rng(5)
         y = rng.normal(size=(4, 18))
-        assert np.array_equal(unfold(tensorize(y, 6, 3), 1), y)
+        assert np.array_equal(unfold(fold(y, 1, (4, 6, 3)), 1), y)
         t = rng.normal(size=(4, 3, 6))
-        assert np.array_equal(tensorize(unfold(t, 1), 3, 6), t)
+        assert np.array_equal(fold(unfold(t, 1), 1, (4, 3, 6)), t)
 
     def test_constant_rows_give_constant_slices(self):
         y = np.tile(np.array([[2.0], [5.0]]), (1, 12))
-        t = tensorize(y, 4, 3)
+        t = fold(y, 1, (2, 4, 3))
         assert np.all(t[0] == 2.0)
         assert np.all(t[1] == 5.0)
 
     def test_view_of_contiguous_matrix(self):
         y = np.arange(24.0).reshape(2, 12)
-        t = tensorize(y, 3, 4)
+        t = fold(y, 1, (2, 3, 4))
         assert np.shares_memory(t, y)
         assert np.shares_memory(unfold(t, 1), y)
         t[1, 2, 3] = -1.0
@@ -132,7 +138,7 @@ class TestTensorize:
 
     def test_rejects_bad_split(self):
         with pytest.raises(ValueError):
-            tensorize(np.zeros((2, 10)), 3, 4)
+            fold(np.zeros((2, 10)), 1, (2, 3, 4))
 
 
 class TestProject:

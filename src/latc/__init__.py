@@ -12,6 +12,7 @@ from .autoreg import (
     LagStructure,
     ar_residual,
     build_lag_structure,
+    factor_z_matrix,
     solve_z_matrix,
     temporal_variation,
     update_coefficients,
@@ -51,6 +52,7 @@ __all__ = [
     "LagStructure",
     "ar_residual",
     "build_lag_structure",
+    "factor_z_matrix",
     "solve_z_matrix",
     "temporal_variation",
     "update_coefficients",

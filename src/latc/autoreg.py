@@ -10,15 +10,22 @@ matrix ``B`` turns the regularized subproblem
 
 into the SPD linear system ``(B.T @ B + alpha * I) z = alpha * x``.
 ``B.T @ B`` has bandwidth ``h_d``, so the system is assembled directly
-in banded storage and solved with a banded Cholesky factorization.
-:func:`solve_z_matrix` solves it for every row of an ``(M, T)`` matrix
-of series, one ``(h_d + 1, T)`` band per row.
+in banded storage, one ``(h_d + 1, T)`` band per row of an ``(M, T)``
+matrix of series, and solved with LAPACK's banded Cholesky pair
+``pbtrf``/``pbtrs``.  The system depends only on the coefficients and
+``alpha``, so :func:`factor_z_matrix` factors every row once and
+:func:`solve_z_matrix` reuses the factors for any number of right-hand
+sides.  At most ``Z_FACTOR_BUDGET`` bytes of factors are kept; rows
+beyond it are refactored into one scratch band on every solve, by the
+same routines, so a row's result does not depend on which side of the
+budget it falls.
 :func:`update_coefficients` refits the coefficients of every row by
 minimum-norm least squares with the fixed cutoff ``LSTSQ_RCOND``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +34,12 @@ from scipy import linalg as sla
 # Relative cutoff below which a singular value of the lagged regressors
 # counts as zero in the coefficient refit.
 LSTSQ_RCOND = 1e-10
+# Bytes of band factors that factor_z_matrix keeps.  At 64 MiB, an
+# (80, 2700) or (50, 2016) matrix with lags up to 6 caches every row, and a
+# (214, 8784) one about two thirds of its rows.
+Z_FACTOR_BUDGET = 64 * 2**20
+
+_pbtrf, _pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -105,44 +118,105 @@ def temporal_variation(Z: np.ndarray, A: np.ndarray, lag: LagStructure) -> float
     return float(np.sum(ar_residual(Z, A, lag) ** 2))
 
 
-def _gram_band(a: np.ndarray, lag: LagStructure) -> np.ndarray:
-    """Lower-banded storage of ``B.T @ B`` for one series.
+def _gram_band(a: np.ndarray, lag: LagStructure, band: np.ndarray) -> None:
+    """Write the lower-banded storage of ``B.T @ B`` for one series into ``band``.
 
     ``B`` has rows ``t = 0..n_residuals-1`` with entry ``+1`` at column
     ``t + max_lag`` and ``-a_i`` at ``t + max_lag - h_i``; the Gram
     matrix only has diagonals with offset at most ``max_lag``.
     """
-    T, h, n = lag.length, lag.max_lag, lag.n_residuals
+    h, n = lag.max_lag, lag.n_residuals
     offsets = [h] + [h - hi for hi in lag.lags]
     coeffs = [1.0] + [-float(ai) for ai in a]
-    band = np.zeros((h + 1, T))
+    band[...] = 0.0
     for ck, ok in zip(coeffs, offsets):
         for cl, ol in zip(coeffs, offsets):
             if ok < ol:
                 continue
             band[ok - ol, ol : ol + n] += ck * cl
-    return band
 
 
-def solve_z_matrix(
-    X: np.ndarray, A: np.ndarray, lag: LagStructure, alpha: float
-) -> np.ndarray:
+def _factor_band(a: np.ndarray, lag: LagStructure, alpha: float, band: np.ndarray) -> None:
+    """Overwrite the Fortran-ordered ``band`` with the lower Cholesky
+    factor of ``B.T @ B + alpha * I``."""
+    _gram_band(a, lag, band)
+    band[0] += alpha
+    # Also catches finite coefficients whose products overflow.
+    if not np.isfinite(band).all():
+        raise ValueError(f"Z-step system is not finite for coefficients {a.tolist()}")
+    info = _pbtrf(band, lower=1, overwrite_ab=1)[1]
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"banded Z-step system is not positive definite (LAPACK pbtrf info {info})"
+        )
+
+
+@dataclass(frozen=True)
+class ZFactors:
+    """The Z-step systems of an ``(M, T)`` series matrix, factored.
+
+    Row ``m`` is ``B_m.T @ B_m + alpha * I`` with ``B_m`` built from
+    ``coefficients[m]``.  ``cached[m].T`` is the lower banded Cholesky
+    factor of row ``m`` for the first ``len(cached)`` rows, which fit in
+    ``Z_FACTOR_BUDGET``; :func:`solve_z_matrix` factors the other rows
+    again on every call.
+    """
+
+    coefficients: np.ndarray
+    lag: LagStructure
+    alpha: float
+    cached: np.ndarray
+
+
+def factor_z_matrix(A: np.ndarray, lag: LagStructure, alpha: float) -> ZFactors:
+    """Factor the Z-step system of every row of the coefficient matrix ``A``.
+
+    ``alpha`` must be positive and finite, and a system that is not
+    finite raises ``ValueError``.  Every other system is symmetric
+    positive definite; one whose factorization still fails in floating
+    point raises ``numpy.linalg.LinAlgError``.  The factors of the
+    leading rows are kept, as many as fit in ``Z_FACTOR_BUDGET`` bytes.
+    """
+    # A copy, so factored and refactored rows always share one system.
+    A = np.array(A, dtype=float)
+    if A.ndim != 2 or A.shape[1] != lag.order:
+        raise ValueError(f"coefficients shape {A.shape} does not match (M, {lag.order})")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    band_bytes = (lag.max_lag + 1) * lag.length * A.itemsize
+    rows = min(A.shape[0], Z_FACTOR_BUDGET // band_bytes)
+    # Row-major (rows, T, max_lag + 1): each cached[m].T is a Fortran-ordered
+    # band that LAPACK factors and reads in place.
+    cached = np.empty((rows, lag.length, lag.max_lag + 1))
+    for m in range(rows):
+        _factor_band(A[m], lag, alpha, cached[m].T)
+    return ZFactors(coefficients=A, lag=lag, alpha=alpha, cached=cached)
+
+
+def solve_z_matrix(X: np.ndarray, factors: ZFactors) -> np.ndarray:
     """Solve ``(B_m.T @ B_m + alpha * I) z_m = alpha * x_m`` for every row ``m``.
 
-    Row ``m`` of ``X`` is one series and row ``m`` of ``A`` its AR
-    coefficients; each row is solved on its own banded system.
-    ``alpha`` must be positive, which makes every system symmetric
-    positive definite; factorization failures surface as
-    ``scipy.linalg.LinAlgError``.
+    Row ``m`` of ``X`` is one series, solved on the system of row ``m``
+    of ``factors`` from :func:`factor_z_matrix`.  Rows whose factor is
+    cached take two banded triangular solves; the others are factored
+    first, into one scratch band reused from row to row.
     """
-    X, A = _check_series_matrix(X, lag, A)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    Z = np.empty_like(X)
-    for m in range(X.shape[0]):
-        band = _gram_band(A[m], lag)
-        band[0] += alpha
-        Z[m] = sla.solveh_banded(band, alpha * X[m], lower=True)
+    lag, alpha, cached = factors.lag, factors.alpha, factors.cached
+    X, A = _check_series_matrix(X, lag, factors.coefficients)
+    if not np.isfinite(X).all():
+        raise ValueError("series matrix must be finite")
+    Z = alpha * X
+    scratch = np.empty((lag.length, lag.max_lag + 1)).T
+    for m, z in enumerate(Z):
+        if m < len(cached):
+            band = cached[m].T
+        else:
+            band = scratch
+            _factor_band(A[m], lag, alpha, band)
+        # z is a contiguous row of Z, so LAPACK solves in place and the copy is a no-op.
+        z[:], info = _pbtrs(band, z, lower=1, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"LAPACK pbtrs rejected its arguments (info {info})")
     return Z
 
 

@@ -277,6 +277,14 @@ def generate_mask(
     return base & ~hide
 
 
+def _check_eval_shapes(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> None:
+    if truth.shape != imputed.shape or truth.shape != eval_mask.shape:
+        raise ValueError(
+            f"shape mismatch: truth {truth.shape}, imputed {imputed.shape}, "
+            f"mask {eval_mask.shape}"
+        )
+
+
 def evaluate(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> EvalReport:
     """Score ``imputed`` against ``truth`` on the entries of ``eval_mask``.
 
@@ -287,11 +295,7 @@ def evaluate(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> E
     truth = np.asarray(truth, dtype=float)
     imputed = np.asarray(imputed, dtype=float)
     eval_mask = np.asarray(eval_mask, dtype=bool)
-    if truth.shape != imputed.shape or truth.shape != eval_mask.shape:
-        raise ValueError(
-            f"shape mismatch: truth {truth.shape}, imputed {imputed.shape}, "
-            f"mask {eval_mask.shape}"
-        )
+    _check_eval_shapes(truth, imputed, eval_mask)
     n_eval = int(eval_mask.sum())
     if n_eval == 0:
         raise ValueError("evaluation mask selects no entries")

@@ -2,7 +2,8 @@
 
 Three subcommands: ``impute`` runs one masking + imputation experiment,
 ``sweep`` runs a grid of (c, r) cells, and ``eval`` scores an imputed
-matrix against a reference under a 0/1 mask file.
+matrix against a reference under a 0/1 mask file, on the cells the
+reference holds a value for.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure.
 """
@@ -179,10 +180,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    truth, _ = bench.load_matrix(args.truth)
-    imputed, _ = bench.load_matrix(args.imputed)
+    truth, known = bench.load_matrix(args.truth)
+    imputed, filled = bench.load_matrix(args.imputed)
     mask = bench.load_mask(args.mask)
-    report = bench.evaluate(truth, imputed, mask)
+    try:
+        # Checked before the masks are combined, so they cannot broadcast.
+        bench._check_eval_shapes(truth, imputed, mask)
+        # A hole in the truth has no value to score against.
+        scored = mask & known
+        report = bench.evaluate(truth, imputed, scored)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+    holes = np.argwhere(scored & ~filled)
+    if len(holes):
+        row, col = holes[0] + 1
+        raise DataError(f"{args.imputed}: scored cell at row {row}, column {col} is empty")
     _print_report(report)
     return EXIT_OK
 

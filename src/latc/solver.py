@@ -10,7 +10,15 @@ and is solved by alternating ADMM steps on (X, Z, dual) with the AR
 coefficients refit by least squares after every block of inner
 iterations.  ``lam`` is tied to the ADMM penalty as ``lam = c * rho``,
 so the ratio ``rho / lam = 1 / c`` entering the Z step stays constant
-while ``rho`` grows geometrically.
+while ``rho`` grows geometrically.  With the coefficients fixed between
+refits, the Z step's banded systems are therefore factored once per
+outer iteration, at ``alpha = 1 / c``, by
+:func:`~latc.autoreg.factor_z_matrix`, and every inner step only runs
+the triangular solves of :func:`~latc.autoreg.solve_z_matrix`.  The
+factors kept are bounded by ``autoreg.Z_FACTOR_BUDGET``; to make room,
+the loop keeps no ``(M, T)`` array alive across the X step that a later
+step does not read, and it drops the factors before the refit and the
+history record.
 
 All three iterates are ``(M, T)`` matrices.  ``Z`` is the mode-1
 unfolding of the tensor ``fold(Z, 1, dims)``, which is a copy-free view,
@@ -39,6 +47,7 @@ import numpy as np
 
 from .autoreg import (
     build_lag_structure,
+    factor_z_matrix,
     solve_z_matrix,
     temporal_variation,
     update_coefficients,
@@ -209,36 +218,45 @@ def impute(
         lag = None
         coeffs = np.zeros((m_dim, len(cfg.lags)))
 
-    y_obs = project(Y, mask)
+    # Z starts at the observations, and so does the change's reference x.
+    Z = project(Y, mask)
     # With no nonzero observation the change is measured in absolute terms.
-    change_scale = frobenius_norm(y_obs) or 1.0
-    Z = y_obs.copy()
+    change_scale = frobenius_norm(Z) or 1.0
+    x = Z
     dual = np.zeros_like(Z)
 
     rho = cfg.rho0
-    prev_x = y_obs
     history: list[IterationRecord] = []
     converged = False
 
     for outer in range(1, cfg.max_outer_iters + 1):
+        prev_x = x
+        # rho / lam = 1 / c in every inner step, so one factorization serves them all.
+        factors = factor_z_matrix(coeffs, lag, 1 / cfg.c) if use_ar else None
         residuals = np.empty(cfg.inner_iters)
         for inner in range(cfg.inner_iters):
             rho = min(RHO_GROWTH * rho, rho_max)
-            lam = cfg.c * rho
+            # Only (M, T) arrays the next step reads stay alive across the X step.
+            del x
             x = update_x(Z - dual / rho, cfg, rho)
-            target = x + dual / rho
-            z_raw = solve_z_matrix(target, coeffs, lag, rho / lam) if use_ar else target
+            z_raw = x + dual / rho
+            if use_ar:
+                z_raw = solve_z_matrix(z_raw, factors)
             gap = x - z_raw
+            # A new array, so the duals of states already handed out never change.
             dual = dual + rho * gap
             residuals[inner] = frobenius_norm(gap)
             Z = np.where(mask, Y, z_raw)
+            del z_raw, gap
             if callback is not None:
                 callback(SolverState(x, Z, coeffs, dual, outer, inner, rho))
+        del factors
 
         if use_ar:
             coeffs = update_coefficients(Z, lag)
 
         change = frobenius_norm(x - prev_x) / change_scale
+        lam = cfg.c * rho
         history.append(
             IterationRecord(
                 outer=outer,
@@ -249,7 +267,6 @@ def impute(
                 ar_term=0.5 * lam * temporal_variation(Z, coeffs, lag) if use_ar else 0.0,
             )
         )
-        prev_x = x
         if change < cfg.tol:
             converged = True
             break

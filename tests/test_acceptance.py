@@ -23,6 +23,7 @@ from latc import (
     SolverConfig,
     build_lag_structure,
     evaluate,
+    factor_z_matrix,
     generate_mask,
     impute,
     load_matrix,
@@ -168,7 +169,7 @@ def test_criterion_2_banded_vectorized_equivalence():
         coeffs = rng.standard_normal((m, len(lags)))
         x = rng.standard_normal((m, t))
         alpha = alphas[trial % len(alphas)]
-        banded = solve_z_matrix(x, coeffs, structure, alpha)
+        banded = solve_z_matrix(x, factor_z_matrix(coeffs, structure, alpha))
         stacked = solve_z_vectorized(x, coeffs, structure, alpha)
         gap = np.linalg.norm(banded - stacked) / np.linalg.norm(stacked)
         worst = max(worst, float(gap))

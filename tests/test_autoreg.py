@@ -12,11 +12,13 @@ import pytest
 from latc import (
     ar_residual,
     build_lag_structure,
+    factor_z_matrix,
     solve_z_matrix,
     temporal_variation,
     update_coefficients,
 )
-from oracles import lag_stack, selector, solve_z_vectorized
+from latc import autoreg
+from oracles import lag_stack, selector, solve_z_per_row, solve_z_vectorized
 
 
 def dense_residual_matrix(a, lag):
@@ -126,9 +128,14 @@ class TestTemporalVariation:
             temporal_variation(np.zeros(5), np.zeros(1), lag)
 
 
+def solve_z(x, a, lag, alpha):
+    """:func:`solve_z_matrix` on the systems :func:`factor_z_matrix` builds."""
+    return solve_z_matrix(x, factor_z_matrix(a, lag, alpha))
+
+
 def solve_one(x, a, lag, alpha):
     """:func:`solve_z_matrix` on the one-row matrix holding series ``x``."""
-    return solve_z_matrix(x[None, :], a[None, :], lag, alpha)[0]
+    return solve_z(x[None, :], a[None, :], lag, alpha)[0]
 
 
 class TestSolveZSeries:
@@ -193,7 +200,7 @@ class TestSolveZMatrix:
         lag = build_lag_structure((1, 3), 12)
         x = rng.normal(size=(3, 12))
         a = rng.normal(size=(3, 2))
-        out = solve_z_matrix(x, a, lag, 1.3)
+        out = solve_z(x, a, lag, 1.3)
         for m in range(3):
             assert np.allclose(out[m], dense_solve(x[m], a[m], lag, 1.3), atol=1e-10)
 
@@ -204,38 +211,114 @@ class TestSolveZMatrix:
         lag = build_lag_structure((1, 3), 12)
         x = rng.normal(size=(4, 12))
         a = rng.normal(size=(4, 2))
-        out = solve_z_matrix(x, a, lag, 1.3)
+        out = solve_z(x, a, lag, 1.3)
         x2, a2 = x.copy(), a.copy()
         x2[1] += rng.normal(size=12)
         a2[1] += 0.5
-        out2 = solve_z_matrix(x2, a2, lag, 1.3)
+        out2 = solve_z(x2, a2, lag, 1.3)
         assert not np.array_equal(out2[1], out[1])
         for m in (0, 2, 3):
             assert np.array_equal(out2[m], out[m])
 
     def test_shape_mismatch(self):
         lag = build_lag_structure((1, 2), 6)
+        factors = factor_z_matrix(np.zeros((2, 2)), lag, 1.0)
         with pytest.raises(ValueError):
-            solve_z_matrix(np.zeros(6), np.zeros(2), lag, 1.0)
+            solve_z_matrix(np.zeros(6), factors)
         with pytest.raises(ValueError):
-            solve_z_matrix(np.zeros((2, 7)), np.zeros((2, 2)), lag, 1.0)
+            solve_z_matrix(np.zeros((2, 7)), factors)
         with pytest.raises(ValueError):
-            solve_z_matrix(np.zeros((2, 6)), np.zeros((2, 1)), lag, 1.0)
+            solve_z_matrix(np.zeros((3, 6)), factors)
+        with pytest.raises(ValueError):
+            factor_z_matrix(np.zeros((2, 1)), lag, 1.0)
+        with pytest.raises(ValueError):
+            factor_z_matrix(np.zeros(2), lag, 1.0)
 
     def test_ar_consistent_rows_unchanged(self):
         lag = build_lag_structure((1,), 9)
         x = np.vstack([np.full(9, 2.0), np.full(9, -4.0)])
         a = np.ones((2, 1))
-        assert np.allclose(solve_z_matrix(x, a, lag, 0.5), x, atol=1e-12)
+        assert np.allclose(solve_z(x, a, lag, 0.5), x, atol=1e-12)
 
     def test_matches_vectorized_oracle(self):
         rng = np.random.default_rng(5)
         lag = build_lag_structure((1, 2), 20)
         x = rng.normal(size=(3, 20))
         a = rng.normal(size=(3, 2))
-        banded = solve_z_matrix(x, a, lag, 0.8)
+        banded = solve_z(x, a, lag, 0.8)
         joint = solve_z_vectorized(x, a, lag, 0.8)
         assert np.linalg.norm(banded - joint) <= 1e-8 * np.linalg.norm(joint)
+
+    @pytest.mark.parametrize("cached_rows", [0, 1, 3, 5])
+    def test_factors_match_per_row_oracle_bit_for_bit(self, monkeypatch, cached_rows):
+        # Rows inside the budget reuse their cached factor, the others are
+        # factored again into the scratch band; both give the per-row
+        # solveh_banded answer bit for bit (max_lag >= 2, see the oracle).
+        rng = np.random.default_rng(14)
+        lag = build_lag_structure((1, 2, 4), 40)
+        a = rng.normal(size=(5, 3)) * 0.4
+        band_bytes = (lag.max_lag + 1) * lag.length * 8
+        monkeypatch.setattr(autoreg, "Z_FACTOR_BUDGET", cached_rows * band_bytes + 7)
+        factors = factor_z_matrix(a, lag, 0.1)
+        assert len(factors.cached) == cached_rows
+        for _ in range(3):  # the same factors serve several right-hand sides
+            x = rng.normal(size=(5, 40)) * 50.0
+            assert np.array_equal(solve_z_matrix(x, factors), solve_z_per_row(x, a, lag, 0.1))
+
+    def test_factors_keep_their_own_coefficients(self, monkeypatch):
+        # Cached and refactored rows must solve the system of the
+        # coefficients given at factoring, even if the caller's array changes.
+        rng = np.random.default_rng(15)
+        lag = build_lag_structure((1, 2, 4), 30)
+        a = rng.normal(size=(4, 3)) * 0.4
+        band_bytes = (lag.max_lag + 1) * lag.length * 8
+        monkeypatch.setattr(autoreg, "Z_FACTOR_BUDGET", 2 * band_bytes)
+        x = rng.normal(size=(4, 30))
+        expected = solve_z_per_row(x, a, lag, 0.5)
+        factors = factor_z_matrix(a, lag, 0.5)
+        a[:] = 0.0
+        assert np.array_equal(solve_z_matrix(x, factors), expected)
+
+    def test_cache_within_budget(self, monkeypatch):
+        lag = build_lag_structure((1, 3), 50)
+        a = np.zeros((6, 2))
+        band_bytes = (lag.max_lag + 1) * lag.length * 8
+        for budget in (0, band_bytes - 1, band_bytes, 5 * band_bytes // 2, 10**9):
+            monkeypatch.setattr(autoreg, "Z_FACTOR_BUDGET", budget)
+            cached = factor_z_matrix(a, lag, 1.0).cached
+            assert cached.nbytes <= budget
+            assert len(cached) == min(6, budget // band_bytes)
+
+    def test_non_finite_rejected(self):
+        lag = build_lag_structure((1, 2), 8)
+        factors = factor_z_matrix(np.zeros((2, 2)), lag, 1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.zeros((2, 8))
+            x[1, 3] = bad
+            with pytest.raises(ValueError):
+                solve_z_matrix(x, factors)
+            a = np.zeros((2, 2))
+            a[1, 0] = bad
+            with pytest.raises(ValueError):
+                factor_z_matrix(a, lag, 1.0)
+        for alpha in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                factor_z_matrix(np.zeros((2, 2)), lag, alpha)
+        # Finite coefficients whose squares overflow give a non-finite system.
+        with pytest.raises(ValueError):
+            factor_z_matrix(np.full((2, 2), 1e200), lag, 1.0)
+
+    def test_failed_factorization_raises(self, monkeypatch):
+        # a = 1 on lag 2 makes B.T @ B a singular path Laplacian on each
+        # parity class; an alpha below its rounding leaves a zero pivot.
+        lag = build_lag_structure((2,), 12)
+        a = np.ones((2, 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            factor_z_matrix(a, lag, 1e-300)
+        monkeypatch.setattr(autoreg, "Z_FACTOR_BUDGET", 0)
+        factors = factor_z_matrix(a, lag, 1e-300)  # nothing is factored yet
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_z_matrix(np.ones((2, 12)), factors)
 
 
 class TestSolveZVectorized:
@@ -254,7 +337,7 @@ class TestSolveZVectorized:
         a = np.zeros((2, 2))
         assert np.allclose(
             solve_z_vectorized(x, a, lag, 0.6),
-            solve_z_matrix(x, a, lag, 0.6),
+            solve_z(x, a, lag, 0.6),
             atol=1e-10,
         )
 
@@ -268,7 +351,7 @@ class TestSolveZVectorized:
             x = rng.normal(size=(m, t))
             a = rng.normal(size=(m, len(lags)))
             alpha = float(rng.uniform(0.2, 3.0))
-            banded = solve_z_matrix(x, a, lag, alpha)
+            banded = solve_z(x, a, lag, alpha)
             joint = solve_z_vectorized(x, a, lag, alpha)
             assert np.linalg.norm(banded - joint) <= 1e-8 * max(
                 1.0, np.linalg.norm(joint)

@@ -190,6 +190,13 @@ class TestCsvBytes:
             b"0.1,0.3333333333333333,-2.5e-07\n1e+22,3.0,-0.0\n"
         )
 
+    def test_save_matrix_bytes_full_and_holed_rows(self, tmp_path):
+        mask = np.array([[True, True, True], [False, True, True]])
+        save_matrix(tmp_path / "mixed.csv", self.values, mask)
+        assert (tmp_path / "mixed.csv").read_bytes() == (
+            b"0.1,0.3333333333333333,-2.5e-07\n,3.0,-0.0\n"
+        )
+
     def test_save_mask_bytes(self, tmp_path):
         save_mask(tmp_path / "mask.csv", self.mask)
         assert (tmp_path / "mask.csv").read_bytes() == b"1,0,1\n1,1,0\n"
@@ -578,6 +585,58 @@ class TestCli:
         )
         assert float(entries["mape"]) == pytest.approx(10.0, abs=1e-10)
         assert float(entries["rmse"]) == pytest.approx(math.sqrt(2.5), rel=1e-11)
+
+    def eval_files(self, tmp_path, truth, imputed, mask, truth_holes=None, imputed_holes=None):
+        save_matrix(tmp_path / "truth.csv", truth, truth_holes)
+        save_matrix(tmp_path / "imputed.csv", imputed, imputed_holes)
+        save_mask(tmp_path / "mask.csv", mask)
+        return [
+            "eval",
+            "--truth", str(tmp_path / "truth.csv"),
+            "--imputed", str(tmp_path / "imputed.csv"),
+            "--mask", str(tmp_path / "mask.csv"),
+        ]
+
+    def test_eval_skips_truth_holes(self, tmp_path, capsys):
+        truth = np.array([[10.0, 20.0, 30.0], [40.0, 50.0, 60.0]])
+        known = np.array([[True, False, True], [True, True, True]])
+        imputed = truth + 1.0
+        imputed[0, 1] = 1e6  # would dominate the RMSE if the hole were scored
+        argv = self.eval_files(tmp_path, truth, imputed, np.ones((2, 3), dtype=bool), known)
+        assert main(argv) == 0
+        entries = dict(
+            line.partition(" = ")[::2] for line in capsys.readouterr().out.splitlines()
+        )
+        assert int(entries["n_eval"]) == 5
+        assert int(entries["excluded_zero"]) == 0
+        assert float(entries["rmse"]) == pytest.approx(1.0, rel=1e-12)
+        # Nothing is left to score when the mask selects only holes.
+        only_hole = ~known
+        argv = self.eval_files(tmp_path, truth, imputed, only_hole, known)
+        assert main(argv) == 2
+        assert "data error: evaluation mask selects no entries" in capsys.readouterr().err
+
+    def test_eval_hole_in_scored_imputed_cell_is_data_error(self, tmp_path, capsys):
+        truth = np.array([[10.0, 20.0, 30.0], [40.0, 50.0, 60.0]])
+        mask = np.array([[True, False, True], [True, True, True]])
+        filled = np.array([[True, True, True], [True, False, True]])
+        assert main(self.eval_files(tmp_path, truth, truth, mask, None, filled)) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "row 2, column 2" in err
+        # A hole outside the scored cells is not read.
+        filled = np.array([[True, False, True], [True, True, True]])
+        assert main(self.eval_files(tmp_path, truth, truth, mask, None, filled)) == 0
+
+    def test_eval_shape_mismatch_is_data_error(self, tmp_path, capsys):
+        argv = self.eval_files(
+            tmp_path, np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 2), dtype=bool)
+        )
+        assert main(argv) == 2
+        assert "data error: shape mismatch" in capsys.readouterr().err
+        argv = self.eval_files(
+            tmp_path, np.ones((2, 3)), np.ones((2, 3)), np.ones((1, 3), dtype=bool)
+        )
+        assert main(argv) == 2
 
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["impute", "--I", "12"]) == 1

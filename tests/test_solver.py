@@ -13,17 +13,25 @@ import pytest
 import latc
 from latc import (
     ImputationResult,
+    MaskSpec,
     SolverConfig,
     fold,
+    generate_mask,
     impute,
+    solver,
     svt,
     unfold,
     update_x,
 )
 from latc.bench import MODELS
+from oracles import impute_per_step_alpha
 
 LAMC = MODELS["lamc"]
 LRTC_TNN = MODELS["lrtc-tnn"]
+# Relative distance allowed between the result of factoring the Z step once
+# per outer iteration at alpha = 1 / c and solving it at rho / (c * rho) in
+# every inner step, the two differing in the last bit of alpha.
+EPS_Z_ALPHA = 1e-10
 
 
 def rank1_instance(m=20, i=16, j=10, seed=0, observe=0.7):
@@ -142,6 +150,42 @@ class TestImpute:
         assert np.array_equal(r1.coefficients, r2.coefficients)
         assert r1.iterations == r2.iterations
         assert [rec.change for rec in r1.history] == [rec.change for rec in r2.history]
+
+    def test_callback_snapshots_never_change(self):
+        # Every state handed out must keep its values after the loop moves on.
+        y, mask = rank1_instance(m=8, i=6, j=5, seed=19)
+        cfg = small_cfg((8, 6, 5), max_outer_iters=4, tol=1e-12)
+        fields = ("x", "z", "coefficients", "dual")
+        states, copies = [], []
+
+        def keep(state):
+            states.append(state)
+            copies.append([getattr(state, name).copy() for name in fields])
+
+        impute(y, mask, cfg, callback=keep)
+        assert len(states) == 4 * cfg.inner_iters
+        for state, copy in zip(states, copies):
+            for name, value in zip(fields, copy):
+                assert np.array_equal(getattr(state, name), value), name
+
+    @pytest.mark.parametrize("pattern", ["rm", "bm"])
+    def test_alpha_once_per_outer_within_eps_of_per_step(self, pattern):
+        dims = (30, 24, 14)
+        y, _ = rank1_instance(*dims, seed=5)
+        spec = MaskSpec(pattern, rate=0.3, window=6, seed=11)
+        mask = generate_mask(np.ones(y.shape, dtype=bool), dims, spec)
+        cfg = SolverConfig(dims=dims, c=10.0, r=1, lags=(1, 2, 3, 4, 5, 6), seed=0)
+        result = impute(y, mask, cfg)
+        expected, iterations = impute_per_step_alpha(y, mask, cfg)
+        assert result.iterations == iterations
+        gap = np.linalg.norm(result.recovered - expected)
+        assert gap <= EPS_Z_ALPHA * np.linalg.norm(expected)
+        # The two alphas really differ on some steps of this run.
+        rho, differs = cfg.rho0, 0
+        for _ in range(iterations * cfg.inner_iters):
+            rho = min(solver.RHO_GROWTH * rho, solver.RHO_MAX_FACTOR * cfg.rho0)
+            differs += rho / (cfg.c * rho) != 1 / cfg.c
+        assert differs > 0
 
     def test_primal_residual_trend(self):
         y, mask = rank1_instance(m=10, i=8, j=6, seed=12)

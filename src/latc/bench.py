@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from .solver import ImputationResult, SolverConfig, impute
-from .tensors import project
 
 PATTERNS = ("rm", "nm", "bm")
 # Each model is ``impute`` with these ``SolverConfig`` fields replaced.
@@ -358,7 +357,7 @@ def _run_loaded(
             "masking hid no observed entries; nothing to evaluate "
             f"(pattern={spec.pattern}, rate={spec.rate})"
         )
-    result = impute(project(values, observed), observed, replace(cfg, **MODELS[model]))
+    result = impute(values, observed, replace(cfg, **MODELS[model]))
     report = evaluate(values, result.recovered, eval_mask)
     if out_dir is not None:
         _write_artifacts(Path(out_dir), spec, cfg, model, result, report, eval_mask)

@@ -7,28 +7,33 @@ series matrix:
     subject to  X = fold(Z, 1, dims),  Z agrees with Y on observed entries
 
 and is solved by alternating ADMM steps on (X, Z, dual) with the AR
-coefficients refit by least squares after every block of inner
-iterations.  ``lam`` is tied to the ADMM penalty as ``lam = c * rho``,
-so the ratio ``rho / lam = 1 / c`` entering the Z step stays constant
-while ``rho`` grows geometrically.  With the coefficients fixed between
-refits, the Z step's banded systems are therefore factored once per
-outer iteration, at ``alpha = 1 / c``, by
+coefficients refit by least squares after every block of
+``INNER_ITERS`` inner iterations.  ``lam`` is tied to the ADMM penalty
+as ``lam = c * rho``, so the ratio ``rho / lam = 1 / c`` entering the Z
+step stays constant while ``rho`` grows geometrically.  With the
+coefficients fixed between refits, the Z step's banded systems are
+therefore factored once per outer iteration, at ``alpha = 1 / c``, by
 :func:`~latc.autoreg.factor_z_matrix`, and every inner step only runs
 the triangular solves of :func:`~latc.autoreg.solve_z_matrix`.  The
 factors kept are bounded by ``autoreg.Z_FACTOR_BUDGET``; to make room,
 the loop keeps no ``(M, T)`` array alive across the X step that a later
-step does not read, and it drops the factors before the refit and the
-history record.
+step does not read, and it drops the factors before the refit.
 
 All three iterates are ``(M, T)`` matrices.  ``Z`` is the mode-1
 unfolding of the tensor ``fold(Z, 1, dims)``, which is a copy-free view,
 so the loop never converts between the two layouts.
 :meth:`SolverConfig.validate` checks the lags with
 :func:`~latc.autoreg.build_lag_structure` against ``T = I * J``, also
-when ``c = 0``, the weights with the rule :func:`tensor_tnn` uses,
-``c``, ``rho0`` and ``tol`` for being finite, and ``r`` with the
-truncation rule of :func:`~latc.lowrank.svt` against every unfolding
-with nonzero weight.
+when ``c = 0``, the weights with the rule
+:func:`~latc.lowrank.tensor_tnn` uses, ``c``, ``1 / c``, ``rho0`` and
+``tol`` for being finite, and ``r`` with the truncation rule of
+:func:`~latc.lowrank.svt` against every unfolding with nonzero weight.
+
+The loop stops on the relative change of ``X``, so it never evaluates
+the objective: :class:`IterationRecord` holds only what the stop rule
+and the history need, and callers compute the objective's terms on
+demand with :func:`~latc.lowrank.tensor_tnn` and
+:func:`~latc.autoreg.temporal_variation`.
 
 :func:`impute` is the only entry point.  Both baselines are parameter
 settings of it: ``c = 0`` removes the AR term and runs plain
@@ -49,16 +54,17 @@ from .autoreg import (
     build_lag_structure,
     factor_z_matrix,
     solve_z_matrix,
-    temporal_variation,
     update_coefficients,
 )
-from .lowrank import _check_truncation, _check_weights, svt, tensor_tnn
+from .lowrank import _check_truncation, _check_weights, svt
 from .tensors import MODES, fold, frobenius_norm, project, unfold
 
 DEFAULT_LAGS = (1, 2, 3, 4, 5, 6)
 RHO_GROWTH = 1.05
 RHO_MAX_FACTOR = 1e5
 COEFF_INIT_SCALE = 0.01
+# ADMM steps between two refits of the AR coefficients.
+INNER_ITERS = 3
 
 
 @dataclass
@@ -79,10 +85,14 @@ class SolverConfig:
     r: int = 10
     lags: tuple[int, ...] = DEFAULT_LAGS
     weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    inner_iters: int = 3
     max_outer_iters: int = 100
     tol: float = 1e-4
     seed: int = 0
+
+    @property
+    def inner_iters(self) -> int:
+        """``INNER_ITERS``, which no configuration sets; ``perfbench/spans.py`` reads it."""
+        return INNER_ITERS
 
     def validate(self) -> None:
         dims = tuple(int(d) for d in self.dims)
@@ -90,8 +100,9 @@ class SolverConfig:
             raise ValueError(f"dims must be three positive integers, got {self.dims}")
         if not 0 < self.rho0 < math.inf:
             raise ValueError(f"rho0 must be positive and finite, got {self.rho0}")
-        if not 0 <= self.c < math.inf:
-            raise ValueError(f"c must be non-negative and finite, got {self.c}")
+        # The Z step runs at alpha = 1 / c.
+        if not (self.c == 0 or 0 < self.c < math.inf and math.isfinite(1 / float(self.c))):
+            raise ValueError(f"c must be 0, or positive with c and 1 / c finite, got {self.c}")
         build_lag_structure(self.lags, dims[1] * dims[2])
         weights = _check_weights(self.weights)
         # The mode-p unfolding has dims[p] rows and the other two sides as columns.
@@ -99,8 +110,6 @@ class SolverConfig:
         for side, weight in zip(dims, weights):
             if weight > 0:
                 _check_truncation(self.r, side, size // side)
-        if self.inner_iters < 1:
-            raise ValueError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if self.max_outer_iters < 1:
             raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
         if not 0 < self.tol < math.inf:
@@ -125,14 +134,13 @@ class SolverState:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One outer iteration of the history."""
+    """One outer iteration: the relative change of ``X`` that the stop
+    rule reads, the mean primal residual of its inner steps, and ``rho``."""
 
     outer: int
     change: float
     primal_residual: float
     rho: float
-    low_rank_term: float
-    ar_term: float
 
 
 @dataclass
@@ -200,10 +208,12 @@ def impute(
 
     ``mask`` is true on observed cells.  Observed entries of the result
     equal ``Y`` exactly; unobserved cells come from the converged
-    low-rank iterate.  ``cfg`` is validated before the loop starts, so
-    ``r`` must be smaller than both sides of every unfolding with
-    nonzero weight.  With ``cfg.c == 0`` the AR half is skipped and
-    neither ``cfg.lags`` nor ``cfg.seed`` influences the result.
+    low-rank iterate.  The values of ``Y`` in unobserved cells must be
+    finite but do not affect the result.  ``cfg`` is validated before
+    the loop starts, so ``r`` must be smaller than both sides of every
+    unfolding with nonzero weight.  With ``cfg.c == 0`` the AR half is
+    skipped and neither ``cfg.lags`` nor ``cfg.seed`` influences the
+    result.
     """
     Y, mask = _check_inputs(Y, mask, cfg)
     m_dim, i_dim, j_dim = cfg.dims
@@ -233,8 +243,8 @@ def impute(
         prev_x = x
         # rho / lam = 1 / c in every inner step, so one factorization serves them all.
         factors = factor_z_matrix(coeffs, lag, 1 / cfg.c) if use_ar else None
-        residuals = np.empty(cfg.inner_iters)
-        for inner in range(cfg.inner_iters):
+        residuals = np.empty(INNER_ITERS)
+        for inner in range(INNER_ITERS):
             rho = min(RHO_GROWTH * rho, rho_max)
             # Only (M, T) arrays the next step reads stay alive across the X step.
             del x
@@ -256,17 +266,7 @@ def impute(
             coeffs = update_coefficients(Z, lag)
 
         change = frobenius_norm(x - prev_x) / change_scale
-        lam = cfg.c * rho
-        history.append(
-            IterationRecord(
-                outer=outer,
-                change=change,
-                primal_residual=float(residuals.mean()),
-                rho=rho,
-                low_rank_term=tensor_tnn(fold(x, 1, cfg.dims), cfg.r, cfg.weights),
-                ar_term=0.5 * lam * temporal_variation(Z, coeffs, lag) if use_ar else 0.0,
-            )
-        )
+        history.append(IterationRecord(outer, change, float(residuals.mean()), rho))
         if change < cfg.tol:
             converged = True
             break

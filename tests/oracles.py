@@ -104,7 +104,7 @@ def impute_per_step_alpha(Y, mask, cfg):
     x, dual, rho = Z, np.zeros_like(Z), cfg.rho0
     for outer in range(1, cfg.max_outer_iters + 1):
         prev_x = x
-        for _ in range(cfg.inner_iters):
+        for _ in range(solver.INNER_ITERS):
             rho = min(solver.RHO_GROWTH * rho, rho_max)
             x = solver.update_x(Z - dual / rho, cfg, rho)
             z_raw = solve_z_per_row(x + dual / rho, coeffs, lag, rho / (cfg.c * rho))

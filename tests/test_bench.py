@@ -402,6 +402,19 @@ class TestRunExperiment:
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    @pytest.mark.parametrize("model", ["latc", "lamc", "lrtc-tnn"])
+    def test_history_holds_the_stop_rule_fields(self, tmp_path, model):
+        path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
+        out = tmp_path / "out"
+        run_experiment(
+            path, MaskSpec("rm", rate=0.3, seed=0), experiment_cfg((8, 12, 4)),
+            model=model, out_dir=out,
+        )
+        lines = (out / "history.txt").read_text().splitlines()
+        assert lines
+        for line in lines:
+            assert line.split()[0::3] == ["outer", "change", "primal_residual", "rho"]
+
     def test_lrtc_tnn_equals_latc_without_ar_weight(self, tmp_path):
         path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
         spec = MaskSpec("rm", rate=0.3, seed=0)
@@ -708,13 +721,14 @@ class TestCli:
         assert len(capsys.readouterr().out.splitlines()) == 4
 
     @pytest.mark.parametrize(
-        "c_list, r_list", [("1,10", "1,9"), ("1,-1", "1"), ("1,inf", "1")]
+        "c_list, r_list",
+        [("1,10", "1,9"), ("1,-1", "1"), ("1,inf", "1"), ("1,1e-310", "1")],
     )
     def test_sweep_with_invalid_later_cell_writes_nothing(
         self, tmp_path, capsys, c_list, r_list
     ):
-        # (8, 12, 4): r = 9 is not below min(4, 96), c = -1 is negative
-        # and c = inf is not finite.
+        # (8, 12, 4): r = 9 is not below min(4, 96), c = -1 is negative,
+        # c = inf is not finite and 1 / c overflows for c = 1e-310.
         path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
         out = tmp_path / "grid"
         args = [

@@ -132,7 +132,7 @@ class TestImpute:
         cfg = small_cfg((8, 6, 5), max_outer_iters=5)
         seen = []
         impute(y, mask, cfg, callback=lambda s: seen.append(s.z[mask].copy()))
-        assert len(seen) == 5 * cfg.inner_iters
+        assert len(seen) == 5 * solver.INNER_ITERS
         for z_obs in seen:
             assert np.array_equal(z_obs, y[mask])
 
@@ -163,7 +163,7 @@ class TestImpute:
             copies.append([getattr(state, name).copy() for name in fields])
 
         impute(y, mask, cfg, callback=keep)
-        assert len(states) == 4 * cfg.inner_iters
+        assert len(states) == 4 * solver.INNER_ITERS
         for state, copy in zip(states, copies):
             for name, value in zip(fields, copy):
                 assert np.array_equal(getattr(state, name), value), name
@@ -182,7 +182,7 @@ class TestImpute:
         assert gap <= EPS_Z_ALPHA * np.linalg.norm(expected)
         # The two alphas really differ on some steps of this run.
         rho, differs = cfg.rho0, 0
-        for _ in range(iterations * cfg.inner_iters):
+        for _ in range(iterations * solver.INNER_ITERS):
             rho = min(solver.RHO_GROWTH * rho, solver.RHO_MAX_FACTOR * cfg.rho0)
             differs += rho / (cfg.c * rho) != 1 / cfg.c
         assert differs > 0
@@ -246,7 +246,6 @@ class TestImpute:
             dict(rho0=0.0),
             dict(c=-1.0),
             dict(weights=(0.5, 0.5, 0.5)),
-            dict(inner_iters=0),
             dict(tol=0.0),
             dict(lags=(2, 1)),
             dict(c=np.inf),
@@ -305,15 +304,54 @@ class TestImpute:
         assert 0.0 < result.history[0].change < np.inf
         assert result.iterations > 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_scale_stays_finite(self):
         # At 1e200 every square overflows: the Gram route of svt and the
-        # history norms must stay finite anyway.
+        # history norms must stay finite anyway, without overflowing on
+        # the way.
         y, mask = rank1_instance(m=6, i=12, j=4, seed=3)
         result = impute(1e200 * y, mask, small_cfg((6, 12, 4), max_outer_iters=30))
         assert np.all(np.isfinite(result.recovered))
         for record in result.history:
-            assert np.isfinite(record.change)
-            assert np.isfinite(record.primal_residual)
+            for name in (f.name for f in dataclasses.fields(record)):
+                assert np.isfinite(getattr(record, name)), name
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_no_svd_outside_the_x_step(self, model, monkeypatch):
+        # Every unfolding of (6, 12, 4) is at least twice as wide as it is
+        # tall, so svt takes its Gram route and the loop needs no SVD.
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        y, mask = rank1_instance(m=6, i=12, j=4, seed=3)
+        cfg = dataclasses.replace(small_cfg((6, 12, 4), max_outer_iters=5), **MODELS[model])
+        assert impute(y, mask, cfg).iterations > 1
+        assert calls == []
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_unobserved_values_never_read(self, model):
+        y, mask = rank1_instance(m=8, i=6, j=5, seed=31)
+        noisy = y.copy()
+        noisy[~mask] = np.random.default_rng(32).normal(scale=1e6, size=(~mask).sum())
+        cfg = dataclasses.replace(small_cfg((8, 6, 5)), **MODELS[model])
+        a, b = impute(y, mask, cfg), impute(noisy, mask, cfg)
+        assert np.array_equal(a.recovered, b.recovered)
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+        assert a.history == b.history
+
+    def test_inner_iters_is_a_constant(self):
+        cfg = small_cfg((6, 5, 4))
+        assert "inner_iters" not in {f.name for f in dataclasses.fields(cfg)}
+        assert cfg.inner_iters == solver.INNER_ITERS
+        with pytest.raises(TypeError):
+            small_cfg((6, 5, 4), inner_iters=3)
+
+    def test_c_with_overflowing_inverse_rejected(self):
+        # The Z step runs at alpha = 1 / c, which overflows for c = 1e-310.
+        with pytest.raises(ValueError, match="1 / c"):
+            small_cfg((6, 5, 4), c=1e-310).validate()
+        small_cfg((6, 5, 4), c=1e-300).validate()
 
     def test_non_finite_data_rejected(self):
         y, mask = rank1_instance(m=6, i=5, j=4, seed=19)

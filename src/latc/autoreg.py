@@ -143,7 +143,9 @@ def _factor_band(a: np.ndarray, lag: LagStructure, alpha: float, band: np.ndarra
     band[0] += alpha
     # Also catches finite coefficients whose products overflow.
     if not np.isfinite(band).all():
-        raise ValueError(f"Z-step system is not finite for coefficients {a.tolist()}")
+        raise np.linalg.LinAlgError(
+            f"Z-step system is not finite for coefficients {a.tolist()}"
+        )
     info = _pbtrf(band, lower=1, overwrite_ab=1)[1]
     if info != 0:
         raise np.linalg.LinAlgError(
@@ -171,11 +173,11 @@ class ZFactors:
 def factor_z_matrix(A: np.ndarray, lag: LagStructure, alpha: float) -> ZFactors:
     """Factor the Z-step system of every row of the coefficient matrix ``A``.
 
-    ``alpha`` must be positive and finite, and a system that is not
-    finite raises ``ValueError``.  Every other system is symmetric
-    positive definite; one whose factorization still fails in floating
-    point raises ``numpy.linalg.LinAlgError``.  The factors of the
-    leading rows are kept, as many as fit in ``Z_FACTOR_BUDGET`` bytes.
+    ``alpha`` must be positive and finite.  Every system is symmetric
+    positive definite; one that is not finite, or whose factorization
+    still fails in floating point, raises ``numpy.linalg.LinAlgError``.
+    The factors of the leading rows are kept, as many as fit in
+    ``Z_FACTOR_BUDGET`` bytes.
     """
     # A copy, so factored and refactored rows always share one system.
     A = np.array(A, dtype=float)
@@ -204,7 +206,7 @@ def solve_z_matrix(X: np.ndarray, factors: ZFactors) -> np.ndarray:
     lag, alpha, cached = factors.lag, factors.alpha, factors.cached
     X, A = _check_series_matrix(X, lag, factors.coefficients)
     if not np.isfinite(X).all():
-        raise ValueError("series matrix must be finite")
+        raise np.linalg.LinAlgError("series matrix must be finite")
     Z = alpha * X
     scratch = np.empty((lag.length, lag.max_lag + 1)).T
     for m, z in enumerate(Z):

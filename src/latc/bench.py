@@ -21,8 +21,12 @@ hidden entries).
 only accepted spellings.  Each row holds the ``SolverConfig`` fields the
 model replaces before calling :func:`~latc.solver.impute`: LAMC
 thresholds only the ``(M, T)`` matrix, and LRTC-TNN drops the AR term.
-All CSV files, data and masks, are read by one row-by-row parser and
-written by one row-by-row writer.  Every ``key = value`` record, in the
+All CSV files, data and masks, are read by one row-by-row parser.
+:func:`save_matrix` writes values in the spelling of Python's ``repr``,
+the shortest decimal that reads back as the same double: ``orjson``
+formats each row in C, and only the cells whose spelling it does not
+share with ``repr`` are spelled again.  :func:`save_mask` builds its
+whole file as one byte array.  Every ``key = value`` record, in the
 text artifacts and on the command line's standard output, is formatted
 by one function.
 """
@@ -37,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .solver import ImputationResult, SolverConfig, impute
+from .tensors import frobenius_norm
 
 PATTERNS = ("rm", "nm", "bm")
 # Each model is ``impute`` with these ``SolverConfig`` fields replaced.
@@ -186,14 +191,6 @@ def _mask_cell(token: str) -> bool:
     return token == "1"
 
 
-def _write_csv(path, rows) -> None:
-    """Write rows of string cells, one comma-separated line each."""
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(",".join(row))
-            fh.write("\n")
-
-
 def _load_binary(path: Path):
     try:
         arr = np.load(path)
@@ -211,10 +208,18 @@ def _load_binary(path: Path):
 def save_matrix(path, values: np.ndarray, mask: np.ndarray | None = None) -> None:
     """Write a matrix as CSV; cells where ``mask`` is false stay empty.
 
-    Values use shortest round-trip decimal form, so a save/load cycle
-    reproduces them exactly.
+    Values are spelled as Python's ``repr`` spells them: the shortest
+    decimal that reads back as the same double.  Each row is formatted
+    in C by ``orjson``, whose shortest round-trip digits and spelling
+    equal ``repr``'s for zero and for ``1e-4 <= |v| < 1e16``.  Only the
+    other cells, which are masked, non-finite or outside that range,
+    are spelled again one by one.
     """
-    values = np.asarray(values, dtype=float)
+    # Imported here, not at module level, so that ``import latc`` does not
+    # pay for it.
+    import orjson
+
+    values = np.ascontiguousarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {values.shape}")
     if mask is None:
@@ -222,13 +227,19 @@ def save_matrix(path, values: np.ndarray, mask: np.ndarray | None = None) -> Non
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != values.shape:
         raise ValueError(f"mask shape {mask.shape} != values shape {values.shape}")
-    _write_csv(
-        path,
-        (
-            [repr(v) if kept else "" for v, kept in zip(row.tolist(), row_mask.tolist())]
-            for row, row_mask in zip(values, mask)
-        ),
-    )
+    magnitude = np.abs(values)
+    # NaN compares false everywhere, and inf fails the upper bound.
+    plain = mask & (((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0.0))
+    with open(path, "wb") as fh:
+        for row, row_mask, row_plain in zip(values, mask, plain):
+            line = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+            if not row_plain.all():
+                tokens = line.split(b",")
+                for j in np.flatnonzero(~row_plain).tolist():
+                    tokens[j] = repr(float(row[j])).encode() if row_mask[j] else b""
+                line = b",".join(tokens)
+            fh.write(line)
+            fh.write(b"\n")
 
 
 def load_mask(path) -> np.ndarray:
@@ -237,11 +248,20 @@ def load_mask(path) -> np.ndarray:
 
 
 def save_mask(path, mask: np.ndarray) -> None:
-    """Write a boolean matrix as a CSV of 0/1 cells."""
+    """Write a boolean matrix as a CSV of 0/1 cells.
+
+    The file is built as one byte array: each row holds a digit in its
+    even columns, ``,`` in its odd ones and ``\\n`` in its last.
+    """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {mask.shape}")
-    _write_csv(path, (["1" if v else "0" for v in row.tolist()] for row in mask))
+    m, t = mask.shape
+    # At least one column, so that a row with no cells is still a line.
+    text = np.full((m, max(2 * t, 1)), ord(","), dtype=np.uint8)
+    text[:, 0 : 2 * t : 2] = mask + np.uint8(ord("0"))
+    text[:, -1] = ord("\n")
+    Path(path).write_bytes(text.tobytes())
 
 
 def generate_mask(
@@ -287,9 +307,11 @@ def _check_eval_shapes(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.nda
 def evaluate(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> EvalReport:
     """Score ``imputed`` against ``truth`` on the entries of ``eval_mask``.
 
-    RMSE covers every selected entry.  MAPE skips entries with
-    ``|truth| <= ZERO_TOLERANCE`` and reports how many were skipped; if every
-    selected entry is skipped the MAPE is 0 by convention.
+    RMSE covers every selected entry, at any finite scale.  MAPE skips
+    entries with ``|truth| <= ZERO_TOLERANCE`` and reports how many were
+    skipped; if every selected entry is skipped the MAPE is 0 by
+    convention.  The tolerance is absolute, so on data scaled far below
+    it every entry is skipped.
     """
     truth = np.asarray(truth, dtype=float)
     imputed = np.asarray(imputed, dtype=float)
@@ -300,7 +322,13 @@ def evaluate(truth: np.ndarray, imputed: np.ndarray, eval_mask: np.ndarray) -> E
         raise ValueError("evaluation mask selects no entries")
     t = truth[eval_mask]
     p = imputed[eval_mask]
-    rmse = float(np.sqrt(np.mean((t - p) ** 2)))
+    error = t - p
+    with np.errstate(over="ignore"):
+        rmse = float(np.sqrt(np.mean(error**2)))
+    if rmse == 0.0 or rmse == math.inf:
+        # The squares underflowed or overflowed; frobenius_norm rescales
+        # them, and returns 0 or inf only when that is the answer.
+        rmse = frobenius_norm(error) / math.sqrt(n_eval)
     nonzero = np.abs(t) > ZERO_TOLERANCE
     excluded = n_eval - int(nonzero.sum())
     if nonzero.any():

@@ -9,6 +9,10 @@ band anew with ``scipy.linalg.solveh_banded``, and
 step with ``alpha = rho / (c * rho)``, exactly as computed per step,
 instead of factoring once per outer iteration at ``alpha = 1 / c``.
 
+``save_matrix_repr`` is the CSV writer that spells every cell with
+Python's ``repr``, one cell at a time: the byte format
+``latc.save_matrix`` keeps.
+
 The AR residual of a series ``z`` is ``B @ z`` with
 ``B = selector(0) - sum_i a_i * selector(i)``.  The library never forms
 these matrices; the tests build them densely to check the banded solve
@@ -114,3 +118,15 @@ def impute_per_step_alpha(Y, mask, cfg):
         if frobenius_norm(x - prev_x) / change_scale < cfg.tol:
             break
     return np.where(mask, Y, x), outer
+
+
+def save_matrix_repr(path, values, mask=None):
+    """``save_matrix`` with each cell spelled by ``repr``, empty where
+    ``mask`` is false."""
+    values = np.asarray(values, dtype=float)
+    if mask is None:
+        mask = np.ones(values.shape, dtype=bool)
+    with open(path, "w") as fh:
+        for row, row_mask in zip(values.tolist(), np.asarray(mask, dtype=bool).tolist()):
+            fh.write(",".join(repr(v) if kept else "" for v, kept in zip(row, row_mask)))
+            fh.write("\n")

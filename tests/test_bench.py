@@ -7,6 +7,10 @@ checked over seeded batches.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from latc import (
     unfold,
 )
 from latc.cli import main, parse_lags
+from oracles import save_matrix_repr
 
 
 def rank1_series(m=20, i=16, j=10, seed=0):
@@ -200,6 +205,75 @@ class TestCsvBytes:
     def test_save_mask_bytes(self, tmp_path):
         save_mask(tmp_path / "mask.csv", self.mask)
         assert (tmp_path / "mask.csv").read_bytes() == b"1,0,1\n1,1,0\n"
+
+
+def writer_contract_matrix(seed):
+    """Rows of every kind the writer treats apart, in shuffled columns.
+
+    Row 0 holds only cells that orjson spells like ``repr``; row 1 has
+    one odd cell; row 2 holds the extreme doubles and both sides of the
+    1e-4 and 1e16 edges; rows 3 and 4 hold random bit patterns and a
+    log-uniform spread over 1e-8 to 1e20; row 5 holds speeds rounded to
+    0-16 decimals.  All values are finite.
+    """
+    rng = np.random.default_rng(seed)
+    n = 64
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308]
+    for edge in (1e-4, 1e16):
+        edges += [edge, -edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    values = np.empty((6, n))
+    values[0] = np.round(rng.uniform(0.0, 120.0, n), 3)
+    values[1] = rng.uniform(-1e3, 1e3, n)
+    values[1, rng.integers(n)] = 2.5e-7
+    values[2] = np.resize(rng.permutation(edges), n)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n, dtype=np.int64)
+    values[3] = np.where(np.isfinite(bits.view(float)), bits.view(float), 1.0)
+    values[4] = np.exp(rng.uniform(np.log(1e-8), np.log(1e20), n)) * rng.choice([-1, 1], n)
+    speeds, digits = rng.uniform(0.0, 120.0, n).tolist(), rng.integers(0, 17, n).tolist()
+    values[5] = [round(v, d) for v, d in zip(speeds, digits)]
+    return values
+
+
+class TestWriterContract:
+    """``save_matrix`` writes what a per-cell ``repr`` writer writes, and
+    every value reads back bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bytes_match_repr_oracle_and_values_round_trip(self, tmp_path, seed):
+        values = writer_contract_matrix(seed)
+        mask = np.random.default_rng(seed).random(values.shape) < 0.8
+        mask[0] = mask[1] = True
+        for m in (None, mask):
+            save_matrix(tmp_path / "fast.csv", values, m)
+            save_matrix_repr(tmp_path / "oracle.csv", values, m)
+            written = (tmp_path / "fast.csv").read_bytes()
+            assert written == (tmp_path / "oracle.csv").read_bytes()
+            loaded, loaded_mask = load_matrix(tmp_path / "fast.csv")
+            kept = np.ones(values.shape, dtype=bool) if m is None else m
+            assert np.array_equal(loaded_mask, kept)
+            assert np.array_equal(
+                loaded[kept].view(np.int64), values[kept].view(np.int64)
+            )
+
+    def test_non_finite_cells_match_repr_oracle(self, tmp_path):
+        values = np.array([[np.nan, 1.5, np.inf], [-np.inf, np.nan, 2.0]])
+        mask = np.array([[True, True, True], [True, False, True]])
+        for m in (None, mask):
+            save_matrix(tmp_path / "fast.csv", values, m)
+            save_matrix_repr(tmp_path / "oracle.csv", values, m)
+            assert (tmp_path / "fast.csv").read_bytes() == (
+                tmp_path / "oracle.csv"
+            ).read_bytes()
+        assert (tmp_path / "fast.csv").read_bytes() == b"nan,1.5,inf\n-inf,,2.0\n"
+
+    def test_import_leaves_orjson_unloaded(self):
+        # save_matrix imports orjson itself, so loading the package stays cheap.
+        import latc
+
+        code = "import sys, latc, latc.cli; sys.exit('orjson' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(latc.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestMaskSpec:
@@ -566,15 +640,31 @@ class TestCli:
             args += ["--out", str(out)]
         return args
 
-    def test_impute_reports_metrics(self, tmp_path, capsys):
-        path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    def test_impute_reports_metrics(self, tmp_path, capsys, scale):
+        path = tmp_path / "data.csv"
+        truth = scale * rank1_series(m=8, i=12, j=4)
+        save_matrix(path, truth)
         out = tmp_path / "out"
         assert main(self.impute_args(path, out=out)) == 0
         lines = capsys.readouterr().out.splitlines()
         entries = dict(line.partition(" = ")[::2] for line in lines)
-        assert float(entries["rmse"]) > 0.0
-        assert float(entries["mape"]) > 0.0
-        assert int(entries["n_eval"]) > 0
+        n_eval = int(entries["n_eval"])
+        assert n_eval > 0
+        # The RMSE of the written artifacts, with the error scaled to 1 first.
+        imputed, _ = load_matrix(out / "imputed.csv")
+        scored = load_mask(out / "eval_mask.csv")
+        error = (truth[scored] - imputed[scored]) / scale
+        expected = scale * math.sqrt(np.mean(error**2))
+        assert 0.0 < float(entries["rmse"]) < math.inf
+        assert float(entries["rmse"]) == pytest.approx(expected, rel=1e-11)
+        if scale < 1e-6:
+            # MAPE's zero tolerance is absolute, so every cell is excluded.
+            assert float(entries["mape"]) == 0.0
+            assert int(entries["excluded_zero"]) == n_eval
+        else:
+            assert float(entries["mape"]) > 0.0
         assert (out / "metrics.txt").exists()
 
     def test_impute_accepts_explicit_days(self, tmp_path, capsys):
@@ -792,6 +882,24 @@ class TestCli:
         monkeypatch.setattr(bench, "impute", boom)
         assert main(self.impute_args(path)) == 3
         assert "solver failure" in capsys.readouterr().err
+
+    def test_z_step_failure_exits_three_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import latc.solver as solver
+
+        path, _ = write_rank1_csv(tmp_path, m=8, i=12, j=4)
+        # Coefficients whose squares overflow make the next Z-step system
+        # non-finite.
+        monkeypatch.setattr(
+            solver,
+            "update_coefficients",
+            lambda Z, lag: np.full((Z.shape[0], lag.order), 1e200),
+        )
+        out = tmp_path / "out"
+        assert main(self.impute_args(path, out=out)) == 3
+        assert "solver failure" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_zero_data_runs(self, tmp_path, capsys):
         path = tmp_path / "zeros.csv"

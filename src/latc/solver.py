@@ -11,13 +11,13 @@ coefficients refit by least squares after every block of
 ``INNER_ITERS`` inner iterations.  ``lam`` is tied to the ADMM penalty
 as ``lam = c * rho``, so the ratio ``rho / lam = 1 / c`` entering the Z
 step stays constant while ``rho`` grows geometrically.  With the
-coefficients fixed between refits, the Z step's banded systems are
-therefore factored once per outer iteration, at ``alpha = 1 / c``, by
+coefficients fixed between refits, the Z step's systems are therefore
+factored once per outer iteration, at ``alpha = 1 / c``, by
 :func:`~latc.autoreg.factor_z_matrix`, and every inner step only runs
-the triangular solves of :func:`~latc.autoreg.solve_z_matrix`.  The
-factors kept are bounded by ``autoreg.Z_FACTOR_BUDGET``; to make room,
-the loop keeps no ``(M, T)`` array alive across the X step that a later
-step does not read, and it drops the factors before the refit.
+the FFT solve of :func:`~latc.autoreg.solve_z_matrix`.  The loop keeps
+no ``(M, T)`` array alive across the X step that a later step does not
+read.  An iterate that stops being finite, such as a dual that
+overflows, raises ``numpy.linalg.LinAlgError`` in the step that made it.
 
 All three iterates are ``(M, T)`` matrices.  ``Z`` is the mode-1
 unfolding of the tensor ``fold(Z, 1, dims)``, which is a copy-free view,
@@ -213,7 +213,8 @@ def impute(
     the loop starts, so ``r`` must be smaller than both sides of every
     unfolding with nonzero weight.  With ``cfg.c == 0`` the AR half is
     skipped and neither ``cfg.lags`` nor ``cfg.seed`` influences the
-    result.
+    result.  A Z-step system that cannot be solved, or an iterate that
+    stops being finite, raises ``numpy.linalg.LinAlgError``.
     """
     Y, mask = _check_inputs(Y, mask, cfg)
     m_dim, i_dim, j_dim = cfg.dims
@@ -255,6 +256,8 @@ def impute(
             gap = x - z_raw
             # A new array, so the duals of states already handed out never change.
             dual = dual + rho * gap
+            if not np.isfinite(dual).all():  # else gap, x and z_raw are finite too
+                raise np.linalg.LinAlgError(f"ADMM iterate not finite in outer iteration {outer}")
             residuals[inner] = frobenius_norm(gap)
             Z = np.where(mask, Y, z_raw)
             del z_raw, gap

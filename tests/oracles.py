@@ -3,8 +3,9 @@
 ``svt_exact`` is the thresholding step through a full SVD, the route
 the library takes for near-square matrices only.
 
-``solve_z_per_row`` is the Z step that assembles and solves every row's
-band anew with ``scipy.linalg.solveh_banded``, and
+``solve_z_per_row`` is the Z step that assembles every row's band with
+its own ``gram_band`` and solves it with ``scipy.linalg.solveh_banded``,
+the banded Cholesky route the library's FFT solve replaced, and
 ``impute_per_step_alpha`` is the ADMM loop that calls it in every inner
 step with ``alpha = rho / (c * rho)``, exactly as computed per step,
 instead of factoring once per outer iteration at ``alpha = 1 / c``.
@@ -15,7 +16,7 @@ Python's ``repr``, one cell at a time: the byte format
 
 The AR residual of a series ``z`` is ``B @ z`` with
 ``B = selector(0) - sum_i a_i * selector(i)``.  The library never forms
-these matrices; the tests build them densely to check the banded solve
+these matrices; the tests build them densely to check the Z-step solve
 and the penalty against an independent route.
 """
 
@@ -76,18 +77,35 @@ def solve_z_vectorized(X, A, lag, alpha, max_size=2000):
     return z.reshape(M, T)
 
 
-def solve_z_per_row(X, A, lag, alpha):
-    """The Z step with one ``solveh_banded`` call per row, bands built anew.
+def gram_band(a, lag):
+    """Lower-banded storage ``(max_lag + 1, length)`` of ``B.T @ B`` for one series.
 
-    LAPACK's ``pbsv`` behind ``solveh_banded`` is ``pbtrf`` followed by
-    ``pbtrs``, so for ``max_lag >= 2`` this equals the library's solve
-    bit for bit; for ``max_lag = 1`` scipy takes the tridiagonal
-    ``ptsv`` instead.
+    ``B`` has rows ``t = 0..n_residuals-1`` with entry ``+1`` at column
+    ``t + max_lag`` and ``-a_i`` at ``t + max_lag - h_i``; the Gram
+    matrix only has diagonals with offset at most ``max_lag``.
+    """
+    h, n = lag.max_lag, lag.n_residuals
+    offsets = [h] + [h - hi for hi in lag.lags]
+    coeffs = [1.0] + [-float(ai) for ai in a]
+    band = np.zeros((h + 1, lag.length))
+    for ck, ok in zip(coeffs, offsets):
+        for cl, ol in zip(coeffs, offsets):
+            if ok >= ol:
+                band[ok - ol, ol : ol + n] += ck * cl
+    return band
+
+
+def solve_z_per_row(X, A, lag, alpha):
+    """The Z step with one ``scipy.linalg.solveh_banded`` call per row,
+    on the band of ``gram_band`` plus ``alpha`` on the diagonal.
+
+    This is the banded Cholesky route (LAPACK ``pbsv``; ``ptsv`` for
+    ``max_lag = 1``), independent of the library's FFT solve, which
+    agrees with it within a tolerance, not bit for bit.
     """
     Z = np.empty_like(X)
     for m in range(X.shape[0]):
-        band = np.empty((lag.max_lag + 1, lag.length))
-        autoreg._gram_band(A[m], lag, band)
+        band = gram_band(A[m], lag)
         band[0] += alpha
         Z[m] = sla.solveh_banded(band, alpha * X[m], lower=True)
     return Z

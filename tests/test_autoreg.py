@@ -1,8 +1,9 @@
 """AR machinery tests.
 
-Two independent routes are compared throughout: the banded per-series
-solve against a dense handwritten normal-equation solve, and against
-the joint Kronecker-product system.  Selector placements are frozen by
+Independent routes are compared throughout: the FFT solve of every
+series against a dense handwritten normal-equation solve, the banded
+Cholesky solve of ``oracles.solve_z_per_row`` and the joint
+Kronecker-product system.  Selector placements are frozen by
 hand from the block formula.
 """
 
@@ -17,7 +18,7 @@ from latc import (
     temporal_variation,
     update_coefficients,
 )
-from latc import autoreg
+from latc.tensors import frobenius_norm
 from oracles import lag_stack, selector, solve_z_per_row, solve_z_vectorized
 
 
@@ -205,8 +206,8 @@ class TestSolveZMatrix:
             assert np.allclose(out[m], dense_solve(x[m], a[m], lag, 1.3), atol=1e-10)
 
     def test_rows_are_independent(self):
-        # Each row is solved on its own band: changing one row's series or
-        # coefficients leaves every other row bit-identical.
+        # Each row is scaled and solved on its own system: changing one row's
+        # series or coefficients leaves every other row bit-identical.
         rng = np.random.default_rng(13)
         lag = build_lag_structure((1, 3), 12)
         x = rng.normal(size=(4, 12))
@@ -245,49 +246,80 @@ class TestSolveZMatrix:
         lag = build_lag_structure((1, 2), 20)
         x = rng.normal(size=(3, 20))
         a = rng.normal(size=(3, 2))
-        banded = solve_z(x, a, lag, 0.8)
+        solved = solve_z(x, a, lag, 0.8)
         joint = solve_z_vectorized(x, a, lag, 0.8)
-        assert np.linalg.norm(banded - joint) <= 1e-8 * np.linalg.norm(joint)
+        assert np.linalg.norm(solved - joint) <= 1e-8 * np.linalg.norm(joint)
 
-    @pytest.mark.parametrize("cached_rows", [0, 1, 3, 5])
-    def test_factors_match_per_row_oracle_bit_for_bit(self, monkeypatch, cached_rows):
-        # Rows inside the budget reuse their cached factor, the others are
-        # factored again into the scratch band; both give the per-row
-        # solveh_banded answer bit for bit (max_lag >= 2, see the oracle).
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_matches_per_row_oracle_within_eps(self, alpha, scale):
+        # The FFT solve against the banded Cholesky route, row by row; the
+        # solve scales each row by a power of two, so no data scale overflows.
         rng = np.random.default_rng(14)
         lag = build_lag_structure((1, 2, 4), 40)
         a = rng.normal(size=(5, 3)) * 0.4
-        band_bytes = (lag.max_lag + 1) * lag.length * 8
-        monkeypatch.setattr(autoreg, "Z_FACTOR_BUDGET", cached_rows * band_bytes + 7)
-        factors = factor_z_matrix(a, lag, 0.1)
-        assert len(factors.cached) == cached_rows
+        factors = factor_z_matrix(a, lag, alpha)
         for _ in range(3):  # the same factors serve several right-hand sides
-            x = rng.normal(size=(5, 40)) * 50.0
-            assert np.array_equal(solve_z_matrix(x, factors), solve_z_per_row(x, a, lag, 0.1))
+            x = rng.normal(size=(5, 40)) * 50.0 * scale
+            out, expected = solve_z_matrix(x, factors), solve_z_per_row(x, a, lag, alpha)
+            for m in range(5):
+                assert frobenius_norm(out[m] - expected[m]) <= 1e-10 * frobenius_norm(
+                    expected[m]
+                )
 
-    def test_factors_keep_their_own_coefficients(self, monkeypatch):
-        # Cached and refactored rows must solve the system of the
-        # coefficients given at factoring, even if the caller's array changes.
+    def test_factors_keep_their_own_coefficients(self):
+        # The factors solve the system of the coefficients given at
+        # factoring, even if the caller's array changes afterwards.
         rng = np.random.default_rng(15)
         lag = build_lag_structure((1, 2, 4), 30)
         a = rng.normal(size=(4, 3)) * 0.4
-        band_bytes = (lag.max_lag + 1) * lag.length * 8
-        monkeypatch.setattr(autoreg, "Z_FACTOR_BUDGET", 2 * band_bytes)
         x = rng.normal(size=(4, 30))
-        expected = solve_z_per_row(x, a, lag, 0.5)
+        expected = solve_z_matrix(x, factor_z_matrix(a.copy(), lag, 0.5))
         factors = factor_z_matrix(a, lag, 0.5)
         a[:] = 0.0
         assert np.array_equal(solve_z_matrix(x, factors), expected)
 
-    def test_cache_within_budget(self, monkeypatch):
-        lag = build_lag_structure((1, 3), 50)
-        a = np.zeros((6, 2))
-        band_bytes = (lag.max_lag + 1) * lag.length * 8
-        for budget in (0, band_bytes - 1, band_bytes, 5 * band_bytes // 2, 10**9):
-            monkeypatch.setattr(autoreg, "Z_FACTOR_BUDGET", budget)
-            cached = factor_z_matrix(a, lag, 1.0).cached
-            assert cached.nbytes <= budget
-            assert len(cached) == min(6, budget // band_bytes)
+    def test_factors_hold_no_band_per_row(self):
+        # Per row the factors keep a half spectrum (T // 2 + 1 values), the
+        # coefficients and an (n, n) matrix on the n <= 2 * max_lag wrap
+        # columns; the two DFT matrices on those columns are shared.  A banded
+        # Cholesky factor would keep (max_lag + 1) * T values per row.
+        lag = build_lag_structure((1, 3), 200)
+        h, half = lag.max_lag, lag.length // 2 + 1
+        for rows in (1, 6, 40):
+            factors = factor_z_matrix(np.zeros((rows, lag.order)), lag, 1.0)
+            held = sum(v.nbytes for v in vars(factors).values() if isinstance(v, np.ndarray))
+            per_row = 8 * (half + lag.order + (2 * h) ** 2)
+            shared = 2 * 8 * (2 * half) * (2 * h)
+            assert held <= rows * per_row + shared
+        assert held < rows * 8 * (h + 1) * lag.length
+
+    @pytest.mark.parametrize("length", [6, 7, 9])
+    def test_wrap_columns_overlap_matches_vectorized_oracle(self, length):
+        # With T < 2 * max_lag the first and last max_lag columns overlap, so
+        # a wrap row can touch a column twice over the two ranges.
+        rng = np.random.default_rng(16)
+        lag = build_lag_structure((1, 5), length)
+        x = rng.normal(size=(3, length))
+        a = rng.normal(size=(3, 2))
+        for alpha in (0.1, 1.0):
+            joint = solve_z_vectorized(x, a, lag, alpha)
+            assert np.linalg.norm(solve_z(x, a, lag, alpha) - joint) <= 1e-10 * np.linalg.norm(
+                joint
+            )
+
+    def test_largest_finite_scale_stays_finite(self):
+        # The zero-order rfft term of these rows overflows unless the solve
+        # scales them first.  With zero coefficients B.T @ B is 0 on the first
+        # max_lag entries and I after them, so the answer is x there and x / 2
+        # after.
+        rng = np.random.default_rng(17)
+        lag = build_lag_structure((1, 3), 40)
+        x = rng.uniform(0.5, 1.0, size=(3, 40)) * 2.0**1023
+        expected = x.copy()
+        expected[:, lag.max_lag :] /= 2
+        out = solve_z_matrix(x, factor_z_matrix(np.zeros((3, 2)), lag, 1.0))
+        assert frobenius_norm(out - expected) <= 1e-12 * frobenius_norm(expected)
 
     def test_non_finite_rejected(self):
         lag = build_lag_structure((1, 2), 8)
@@ -308,17 +340,14 @@ class TestSolveZMatrix:
         with pytest.raises(np.linalg.LinAlgError):
             factor_z_matrix(np.full((2, 2), 1e200), lag, 1.0)
 
-    def test_failed_factorization_raises(self, monkeypatch):
+    def test_failed_factorization_raises(self):
         # a = 1 on lag 2 makes B.T @ B a singular path Laplacian on each
-        # parity class; an alpha below its rounding leaves a zero pivot.
+        # parity class, so the system's smallest eigenvalue is alpha, far
+        # below the rounding of its largest.
         lag = build_lag_structure((2,), 12)
         a = np.ones((2, 1))
         with pytest.raises(np.linalg.LinAlgError):
             factor_z_matrix(a, lag, 1e-300)
-        monkeypatch.setattr(autoreg, "Z_FACTOR_BUDGET", 0)
-        factors = factor_z_matrix(a, lag, 1e-300)  # nothing is factored yet
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_z_matrix(np.ones((2, 12)), factors)
 
 
 class TestSolveZVectorized:
@@ -351,9 +380,9 @@ class TestSolveZVectorized:
             x = rng.normal(size=(m, t))
             a = rng.normal(size=(m, len(lags)))
             alpha = float(rng.uniform(0.2, 3.0))
-            banded = solve_z(x, a, lag, alpha)
+            solved = solve_z(x, a, lag, alpha)
             joint = solve_z_vectorized(x, a, lag, alpha)
-            assert np.linalg.norm(banded - joint) <= 1e-8 * max(
+            assert np.linalg.norm(solved - joint) <= 1e-8 * max(
                 1.0, np.linalg.norm(joint)
             )
 

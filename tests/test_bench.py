@@ -275,6 +275,14 @@ class TestWriterContract:
         env = {**os.environ, "PYTHONPATH": str(Path(latc.__file__).parents[1])}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_import_leaves_scipy_unloaded(self):
+        # Only the test oracles use scipy; the package must not pull it in.
+        import latc
+
+        code = "import sys, latc, latc.cli; sys.exit('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(latc.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
 
 class TestMaskSpec:
     def test_rejects_unknown_pattern(self):
@@ -645,7 +653,7 @@ class TestCli:
         self.check_impute_metrics(tmp_path, capsys, scale=1.0)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e306])
     def test_impute_reports_metrics_at_extreme_scale(self, tmp_path, capsys, scale):
         self.check_impute_metrics(tmp_path, capsys, scale)
 
@@ -905,6 +913,20 @@ class TestCli:
         )
         out = tmp_path / "out"
         assert main(self.impute_args(path, out=out)) == 3
+        assert "solver failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_iterate_exits_three_and_writes_nothing(self, tmp_path, capsys):
+        # rho * gap overflows in the dual update at this rho.
+        path = tmp_path / "data.csv"
+        save_matrix(path, rank1_series(m=6, i=12, j=4))
+        out = tmp_path / "out"
+        args = [
+            "impute", "--data", str(path), "--I", "12", "--r", "1", "--c", "10",
+            "--rho", "1e306", "--out", str(out),
+        ]
+        with np.errstate(over="ignore"):
+            assert main(args) == 3
         assert "solver failure" in capsys.readouterr().err
         assert not out.exists()
 

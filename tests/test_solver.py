@@ -30,7 +30,8 @@ LAMC = MODELS["lamc"]
 LRTC_TNN = MODELS["lrtc-tnn"]
 # Relative distance allowed between the result of factoring the Z step once
 # per outer iteration at alpha = 1 / c and solving it at rho / (c * rho) in
-# every inner step, the two differing in the last bit of alpha.
+# every inner step, the two differing in the last bit of alpha and in the
+# route: the library's FFT solve, the oracle's banded Cholesky solve.
 EPS_Z_ALPHA = 1e-10
 
 
@@ -315,6 +316,19 @@ class TestImpute:
         for record in result.history:
             for name in (f.name for f in dataclasses.fields(record)):
                 assert np.isfinite(getattr(record, name)), name
+
+    @pytest.mark.parametrize("model", ["latc", "lamc"])
+    def test_overflowing_iterate_raises(self, model):
+        # At rho0 = 1e306 and c = 10 the dual update rho * gap overflows; the
+        # run stops in that inner step, before a callback sees the non-finite
+        # dual.  (Without the AR term the gap is 0 and nothing overflows.)
+        y, mask = rank1_instance(m=6, i=12, j=4, seed=3)
+        cfg = small_cfg((6, 12, 4), rho0=1e306, c=10.0)
+        cfg = dataclasses.replace(cfg, **MODELS[model])
+        finite = []
+        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            impute(y, mask, cfg, callback=lambda s: finite.append(np.isfinite(s.dual).all()))
+        assert finite and all(finite)
 
     @pytest.mark.parametrize("model", list(MODELS))
     def test_no_svd_outside_the_x_step(self, model, monkeypatch):

@@ -20,8 +20,17 @@ series is then solved at once, with one ``rfft``/``irfft`` pair and one
 of :func:`solve_z_matrix`.  Against a dense solve the relative error is
 about ``2e-12`` at most for ``alpha >= 0.1``, growing as ``alpha``
 falls, to about ``3e-9`` at ``1e-4``.
-:func:`update_coefficients` refits the coefficients of every row by
-minimum-norm least squares with the fixed cutoff ``LSTSQ_RCOND``.
+:func:`update_coefficients` refits the coefficients of every row at once
+from the normal equations of its least-squares problem.  Their ``d x d``
+Gram matrices come from the ``h + 1`` or fewer full-length products
+``sum_u z[u] * z[u + k]``, one for each difference ``k`` of two members
+of ``{0} U H``, less the at most ``h`` edge terms that fall outside the
+residual window; no tall regressor matrix is formed.  A batched ``eigh``
+gives the minimum-norm solution, with eigenvalues at most
+``GRAM_RCOND`` times the largest treated as zero.  Rounding in the
+normal equations costs about ``eps * cond(V)**2`` relative against a
+least-squares solve on the regressors ``V``: up to ``1e-10`` at the
+``cond(V)`` of a few hundred measured on traffic-like series.
 """
 
 from __future__ import annotations
@@ -31,9 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative cutoff below which a singular value of the lagged regressors
-# counts as zero in the coefficient refit.
-LSTSQ_RCOND = 1e-10
+# Relative cutoff at or below which an eigenvalue of a row's Gram matrix counts
+# as zero in the coefficient refit: singular values of the lagged regressors
+# below 1e-6 of the largest.
+GRAM_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -222,16 +232,49 @@ def solve_z_matrix(X: np.ndarray, factors: ZFactors) -> np.ndarray:
 def update_coefficients(Z: np.ndarray, lag: LagStructure) -> np.ndarray:
     """Least-squares AR coefficients for every series.
 
-    Each row solves ``min_a || V_m a - z_m[max_lag:] ||`` where column
-    ``i`` of ``V_m`` holds the series lagged by ``lags[i]``.  The
-    minimum-norm solution is taken, with singular values below
-    ``LSTSQ_RCOND`` times the largest treated as zero, so rank-deficient
-    regressors (constant or all-zero series) are well-defined.
+    Row ``m`` solves ``min_a || V_m a - z_m[max_lag:] ||`` where column
+    ``i`` of ``V_m`` holds the series lagged by ``lags[i]``, through the
+    normal equations ``V_m.T @ V_m a = V_m.T @ z_m[max_lag:]``.  Each row
+    is first scaled by the power of two that brings its largest
+    magnitude into ``[0.5, 1)``, which is exact and leaves the
+    coefficients unchanged, so no product overflows.  The minimum-norm
+    solution is taken, with eigenvalues of ``V_m.T @ V_m`` at most
+    ``GRAM_RCOND`` times the largest treated as zero, so all-zero series
+    give zero coefficients and constant ones ``1 / d`` per lag.  Against
+    a least-squares solve on ``V_m`` the result differs by about
+    ``eps * cond(V_m)**2`` relative, more if the first and last
+    ``max_lag`` steps hold most of the series' energy, since their
+    products are subtracted from full-length sums.  Rows with
+    ``cond(V_m)`` between about ``1e6`` and ``1e10`` are truncated where
+    such a solve at a singular-value cutoff of ``1e-10`` would not be.  A
+    series that is not finite raises ``numpy.linalg.LinAlgError``.
     """
     Z = _check_series_matrix(Z, lag)
+    # The refit's one (M, T) temporary: |Z|, then the scaled copy of Z.
+    scaled = np.abs(Z)
+    peak = scaled.max(axis=1, initial=0.0)  # NaN if the row holds one
+    if not np.isfinite(peak).all():
+        raise np.linalg.LinAlgError("series matrix must be finite")
     T, h = lag.length, lag.max_lag
-    A = np.zeros((Z.shape[0], lag.order))
-    for m in range(Z.shape[0]):
-        V = np.column_stack([Z[m, h - hi : T - hi] for hi in lag.lags])
-        A[m] = np.linalg.lstsq(V, Z[m, h:], rcond=LSTSQ_RCOND)[0]
-    return A
+    Z = np.ldexp(Z, -np.frexp(peak)[1][:, None], out=scaled)
+    # Column i of the regression is z[t - offsets[i]] for t in [h, T); column
+    # 0 is the target.  Read z as 0 outside [0, T): then the product at
+    # k = |o_i - o_j| sums z[t - o_i] * z[t - o_j] over all t in [0, T + h),
+    # and row t of `edges` holds z[t - offsets] at the t outside the window,
+    # [0, h) and then [T, T + h).
+    offsets = np.array((0,) + lag.lags)
+    diffs = np.abs(offsets[:, None] - offsets)
+    ks = np.unique(diffs)
+    full = np.stack([np.einsum("mu,mu->m", Z[:, : T - k], Z[:, k:]) for k in ks], axis=1)
+    pad = np.zeros((Z.shape[0], h))
+    head = np.concatenate([pad, Z[:, :h]], axis=1)
+    tail = np.concatenate([Z[:, T - h :], pad], axis=1)
+    rows = h + np.arange(h)[:, None] - offsets
+    edges = np.concatenate([head[:, rows], tail[:, rows]], axis=1)
+    gram = full[:, np.searchsorted(ks, diffs)] - edges.transpose(0, 2, 1) @ edges
+    eig, vec = np.linalg.eigh(gram[:, 1:, 1:])
+    # eigh sorts ascending, so the last eigenvalue is the largest.
+    keep = eig > GRAM_RCOND * eig[:, -1:]
+    inverse = np.divide(1.0, eig, out=np.zeros_like(eig), where=keep)
+    projected = np.einsum("mji,mj->mi", vec, gram[:, 1:, 0])
+    return np.einsum("mij,mj->mi", vec, inverse * projected)

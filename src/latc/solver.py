@@ -264,11 +264,14 @@ def impute(
             if callback is not None:
                 callback(SolverState(x, Z, coeffs, dual, outer, inner, rho))
         del factors
+        change = frobenius_norm(x - prev_x) / change_scale
+        # Freed before the refit, whose scaled copy of Z would otherwise
+        # raise the loop's peak memory.
+        del prev_x
 
         if use_ar:
             coeffs = update_coefficients(Z, lag)
 
-        change = frobenius_norm(x - prev_x) / change_scale
         history.append(IterationRecord(outer, change, float(residuals.mean()), rho))
         if change < cfg.tol:
             converged = True

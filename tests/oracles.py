@@ -10,6 +10,11 @@ the banded Cholesky route the library's FFT solve replaced, and
 step with ``alpha = rho / (c * rho)``, exactly as computed per step,
 instead of factoring once per outer iteration at ``alpha = 1 / c``.
 
+``update_coefficients_lstsq`` is the coefficient refit with one
+``numpy.linalg.lstsq`` call per row on its tall regressor matrix, the
+route the library's normal equations replaced; ``impute_per_step_alpha``
+refits with it.
+
 ``save_matrix_repr`` is the CSV writer that spells every cell with
 Python's ``repr``, one cell at a time: the byte format
 ``latc.save_matrix`` keeps.
@@ -111,10 +116,29 @@ def solve_z_per_row(X, A, lag, alpha):
     return Z
 
 
+# Relative cutoff below which a singular value of the lagged regressors
+# counts as zero in ``update_coefficients_lstsq``.
+LSTSQ_RCOND = 1e-10
+
+
+def update_coefficients_lstsq(Z, lag):
+    """Minimum-norm least-squares AR coefficients, one ``lstsq`` per row,
+    with singular values below ``LSTSQ_RCOND`` times the largest treated
+    as zero."""
+    Z = np.asarray(Z, dtype=float)
+    T, h = lag.length, lag.max_lag
+    A = np.zeros((Z.shape[0], lag.order))
+    for m in range(Z.shape[0]):
+        V = np.column_stack([Z[m, h - hi : T - hi] for hi in lag.lags])
+        A[m] = np.linalg.lstsq(V, Z[m, h:], rcond=LSTSQ_RCOND)[0]
+    return A
+
+
 def impute_per_step_alpha(Y, mask, cfg):
     """``solver.impute`` with the Z step of ``solve_z_per_row`` at
-    ``rho / (c * rho)`` in every inner step; returns
-    ``(recovered, iterations)``.  ``cfg.c`` must be positive."""
+    ``rho / (c * rho)`` in every inner step and the refit of
+    ``update_coefficients_lstsq``; returns ``(recovered, iterations)``.
+    ``cfg.c`` must be positive."""
     Y = np.asarray(Y, dtype=float)
     m_dim, i_dim, j_dim = cfg.dims
     lag = autoreg.build_lag_structure(cfg.lags, i_dim * j_dim)
@@ -132,7 +156,7 @@ def impute_per_step_alpha(Y, mask, cfg):
             z_raw = solve_z_per_row(x + dual / rho, coeffs, lag, rho / (cfg.c * rho))
             dual = dual + rho * (x - z_raw)
             Z = np.where(mask, Y, z_raw)
-        coeffs = autoreg.update_coefficients(Z, lag)
+        coeffs = update_coefficients_lstsq(Z, lag)
         if frobenius_norm(x - prev_x) / change_scale < cfg.tol:
             break
     return np.where(mask, Y, x), outer

@@ -3,8 +3,9 @@
 Independent routes are compared throughout: the FFT solve of every
 series against a dense handwritten normal-equation solve, the banded
 Cholesky solve of ``oracles.solve_z_per_row`` and the joint
-Kronecker-product system.  Selector placements are frozen by
-hand from the block formula.
+Kronecker-product system; the normal-equation refit against the per-row
+``lstsq`` of ``oracles.update_coefficients_lstsq``.  Selector placements
+are frozen by hand from the block formula.
 """
 
 import numpy as np
@@ -19,7 +20,18 @@ from latc import (
     update_coefficients,
 )
 from latc.tensors import frobenius_norm
-from oracles import lag_stack, selector, solve_z_per_row, solve_z_vectorized
+from oracles import (
+    lag_stack,
+    selector,
+    solve_z_per_row,
+    solve_z_vectorized,
+    update_coefficients_lstsq,
+)
+
+# Relative distance per row allowed between the refit through the normal
+# equations and the oracle's lstsq on the tall regressors: rounding in the
+# normal equations grows as eps * cond(V)**2.
+EPS_REFIT = 1e-8
 
 
 def dense_residual_matrix(a, lag):
@@ -440,3 +452,52 @@ class TestUpdateCoefficients:
                 [z[m, lag.max_lag - h : 30 - h] for h in lag.lags]
             )
             assert np.allclose(v.T @ resid[m], 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "lags, rows",
+        [
+            ((1, 2, 3, 4, 5, 6), "walks"),
+            ((1, 3), "walks"),
+            ((2, 5, 7), "walks"),
+            ((1, 2, 144), "walks"),
+            ((1, 2, 3, 4, 5, 6), "scales"),
+            ((1, 2), "rank-deficient"),
+        ],
+    )
+    def test_matches_lstsq_oracle_within_eps(self, lags, rows):
+        rng = np.random.default_rng(18)
+        t = np.arange(2016)
+        # Daily profiles plus random walks, at T = 2016 (14 days of 144 steps).
+        z = 50.0 + 10.0 * np.sin(2 * np.pi * t / 144) + rng.normal(size=(6, 2016)).cumsum(axis=1)
+        if rows == "scales":
+            # Ordinary and constant rows at the extremes of the float range,
+            # where the products overflow or underflow without the pre-scale.
+            scales = np.array([1e-300, 1.0, 1e300])[:, None]
+            z = np.vstack([z[:3] * scales, np.ones((3, 2016)) * scales])
+        elif rows == "rank-deficient":
+            # All-zero, constant and geometric rows; the geometric row's two
+            # lagged columns are proportional, so only the minimum-norm
+            # solution is defined.
+            z = np.vstack([np.zeros(2016), np.full(2016, -7.0), 0.5**t])
+        lag = build_lag_structure(lags, 2016)
+        out, expected = update_coefficients(z, lag), update_coefficients_lstsq(z, lag)
+        for m in range(z.shape[0]):
+            assert np.linalg.norm(out[m] - expected[m]) <= EPS_REFIT * np.linalg.norm(expected[m])
+        if rows == "rank-deficient":
+            assert np.allclose(expected, [[0.0, 0.0], [0.5, 0.5], [0.1, 0.2]], rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_quietly(self, bad, capfd):
+        # Checked before any LAPACK call, which would print to stderr.
+        lag = build_lag_structure((1, 2), 50)
+        z = np.ones((1, 50))
+        z[0, 17] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="finite"):
+            update_coefficients(z, lag)
+        assert capfd.readouterr().err == ""
+
+    def test_shape_mismatch(self):
+        lag = build_lag_structure((1, 2), 9)
+        for bad in (np.zeros(9), np.zeros((2, 8)), np.zeros((2, 9, 1))):
+            with pytest.raises(ValueError):
+                update_coefficients(bad, lag)

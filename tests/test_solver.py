@@ -343,6 +343,19 @@ class TestImpute:
         assert calls == []
 
     @pytest.mark.parametrize("model", list(MODELS))
+    def test_no_lstsq_in_the_refit(self, model, monkeypatch):
+        # The refit solves every row's normal equations at once.
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k)
+        )
+        y, mask = rank1_instance(m=6, i=12, j=4, seed=3)
+        cfg = dataclasses.replace(small_cfg((6, 12, 4), max_outer_iters=5), **MODELS[model])
+        assert impute(y, mask, cfg).iterations > 1
+        assert calls == []
+
+    @pytest.mark.parametrize("model", list(MODELS))
     def test_unobserved_values_never_read(self, model):
         y, mask = rank1_instance(m=8, i=6, j=5, seed=31)
         noisy = y.copy()
